@@ -32,6 +32,8 @@ from .code import (
 )
 from .core import (
     LengthMismatchError,
+    ResourceLimitError,
+    all_words,
     hamming_distance,
     is_valid_read_vector,
     read_vector,
@@ -48,6 +50,8 @@ __all__ = [
     "DecodeFailure",
     "DecodeOutcome",
     "LengthMismatchError",
+    "ResourceLimitError",
+    "all_words",
     "best_residue",
     "bound_report",
     "confusable",

@@ -1,8 +1,9 @@
 """Counting bounds for codes correcting one in-run deletion.
 
-All combinatorial quantities are exact (integers / fractions, computed
-from full enumerations via the packed kernels); only the closed-form
-redundancy bound uses floating point, since it mixes logs and exp.
+All combinatorial quantities are exact integers or fractions, taken
+from the run histogram below, which counts words instead of listing
+them; only the closed-form redundancy bound uses floating point, since
+it mixes logs and exp.
 """
 
 from __future__ import annotations
@@ -11,13 +12,35 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernels import rho_geq_histogram
 
-MAX_SUM_N = 22
+def rho_geq_histogram(n: int, a: int) -> list[int]:
+    """Histogram of rho_geq(., a) over all 2^n words of length n.
 
-
-class ResourceLimitError(RuntimeError):
-    """Requested enumeration exceeds the guarded problem size."""
+    Entry r is the number of words with exactly r maximal runs of length
+    >= a.  A transfer-matrix count: the state is the length of the last
+    run, capped at a, and each state carries its counts indexed by r.
+    Appending a bit either extends the last run or starts a new one, and
+    a run is counted when its length reaches a.  O(n^2) additions.
+    """
+    if a < 1:
+        raise ValueError("run-length threshold must be >= 1")
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    size = n // a + 1
+    # by_run[c][r]: words whose last run has capped length c; the empty
+    # word has a run of length 0, and both ways out of it give length 1
+    by_run = [[0] * size for _ in range(a + 1)]
+    by_run[0][0] = 1
+    for _ in range(n):
+        nxt = [[0] * size for _ in range(a + 1)]
+        for c in range(a + 1):
+            grown = min(c + 1, a)
+            for r, k in enumerate(by_run[c]):
+                if k:
+                    nxt[1][r + (a == 1)] += k
+                    nxt[grown][r + (c + 1 == a)] += k
+        by_run = nxt
+    return [sum(col) for col in zip(*by_run)]
 
 
 def redundancy_lower_bound(n: int, window: int) -> float:
@@ -42,18 +65,10 @@ def weighted_sum(n: int, window: int) -> Fraction:
     Sums, over all words y of length n-1, 1/rho_geq(y, window) when
     positive and 1 otherwise.
     """
-    if n > MAX_SUM_N:
-        raise ResourceLimitError(f"weighted sum guarded at n <= {MAX_SUM_N}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return Fraction(1)  # the single empty word has no runs
     hist = rho_geq_histogram(n - 1, window)
-    total = Fraction(int(hist[0]))
-    for i in range(1, len(hist)):
-        if hist[i]:
-            total += Fraction(int(hist[i]), i)
-    return total
+    return Fraction(hist[0]) + sum(Fraction(k, r) for r, k in enumerate(hist) if r)
 
 
 def tail_count(n: int, a: int) -> int:
@@ -62,11 +77,9 @@ def tail_count(n: int, a: int) -> int:
     The cutoff is (n - 2a + 4) / 2^(a+1); the comparison is done in
     integers so the count is exact.
     """
-    if n > MAX_SUM_N:
-        raise ResourceLimitError(f"tail count guarded at n <= {MAX_SUM_N}")
     hist = rho_geq_histogram(n, a)
     shift = 2 ** (a + 1)
-    return int(sum(hist[r] for r in range(len(hist)) if r * shift < n - 2 * a + 4))
+    return sum(k for r, k in enumerate(hist) if r * shift < n - 2 * a + 4)
 
 
 def expected_runs(n: int, a: int) -> Fraction:
@@ -87,9 +100,9 @@ def packing_chain(n: int, window: int) -> tuple[Fraction, Fraction, float]:
     hist = rho_geq_histogram(n - 1, window)
     shift = 2 ** (window + 1)
     cutoff_num = n - 2 * window + 3  # threshold times 2^(window+1)
-    tail = sum(int(hist[r]) for r in range(len(hist)) if r * shift < cutoff_num)
+    tail = sum(k for r, k in enumerate(hist) if r * shift < cutoff_num)
     t = -((-cutoff_num) // shift)  # ceil of the cutoff
-    bulk = sum(int(hist[r]) for r in range(len(hist)) if r >= t)
+    bulk = sum(k for r, k in enumerate(hist) if r >= t)
     split = Fraction(tail) + Fraction(bulk, t) if t >= 1 else Fraction(tail + bulk)
 
     closed = 2 ** (n - 1) * math.exp(-(n - 1) / 2 ** (2 * window + 1)) + 2 ** (
@@ -126,20 +139,15 @@ class BoundReport:
 
 
 def bound_report(n: int, window: int) -> BoundReport:
-    """Populate every field that is defined and enumerable at (n, window).
+    """Populate every field that is defined at (n, window).
 
-    Fields outside their domain or above the enumeration guard are left
-    absent rather than approximated.
+    Fields outside their domain are left absent rather than approximated.
     """
     lower = None
     if window >= 2 and n > 2 * window:
         lower = redundancy_lower_bound(n, window)
-    ws = None
-    if n <= MAX_SUM_N:
-        ws = weighted_sum(n, window)
-    tail = None
-    if 1 <= n - 1 <= MAX_SUM_N:
-        tail = tail_count(n - 1, window)
+    ws = weighted_sum(n, window)
+    tail = tail_count(n - 1, window) if n >= 2 else None
     exp_runs = expected_runs(n, window) if 1 <= window <= n else None
     return BoundReport(
         n=n,

@@ -21,7 +21,6 @@ import sys
 from fractions import Fraction
 
 from . import balls, bounds, code, core, oracle, reconstruct
-from .kernels import rho_geq_histogram
 
 TRIAL_SEED_STRIDE = 1_000_003
 
@@ -180,8 +179,8 @@ def _check_expected_runs(ns: list[int]) -> list[dict]:
     records = []
     for n in ns:
         for a in range(1, n + 1):
-            hist = rho_geq_histogram(n, a)
-            avg = Fraction(sum(r * int(hist[r]) for r in range(len(hist))), 1 << n)
+            hist = oracle.rho_geq_histogram(n, a)
+            avg = Fraction(sum(r * k for r, k in enumerate(hist)), 1 << n)
             want = bounds.expected_runs(n, a)
             records.append(
                 {
@@ -339,6 +338,9 @@ def cmd_verify(args) -> int:
     else:
         raise SystemExit(2)
 
+    if not records:
+        _note(f"verify {args.check}: no (n, l) in range produced a record")
+        return 2
     failed = 0
     for rec in records:
         _emit(rec)
@@ -355,7 +357,7 @@ def cmd_bounds(args) -> int:
     for n in ns:
         for l in ls:
             row = bounds.bound_report(n, l).to_dict()
-            if l <= n <= 16:
+            if l <= n:
                 residue, size = code.best_residue(n, l)
                 row["best_residue"] = residue
                 row["best_size"] = size
@@ -365,6 +367,9 @@ def cmd_bounds(args) -> int:
                 row["best_size"] = None
                 row["best_redundancy_bits"] = None
             rows.append(row)
+    if not rows:
+        _note("bounds: empty --n or --l range")
+        return 2
 
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
@@ -448,7 +453,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         _note(f"error: {exc}")
         return 2
 

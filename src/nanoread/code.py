@@ -13,9 +13,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .balls import deletion_ball
-from .core import Word, is_valid_read_vector, read_vector, recover_from_mod2
-
-MAX_ENUM_N = 24
+from .core import (
+    ResourceLimitError,  # noqa: F401  (re-exported)
+    Word,
+    all_words,
+    is_valid_read_vector,
+    read_vector,
+    recover_from_mod2,
+)
 
 
 class DecodeFailure(Exception):
@@ -24,10 +29,6 @@ class DecodeFailure(Exception):
 
 class MalformedInputError(ValueError):
     """Input cannot arise from a single deletion on any read vector."""
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested enumeration exceeds the guarded problem size."""
 
 
 @dataclass(frozen=True)
@@ -61,28 +62,38 @@ def is_member(x: Sequence[int], params: CodeParams) -> bool:
     return syndrome(x, params.n, params.window) == params.residue
 
 
-def _all_words(n: int):
-    if n > MAX_ENUM_N:
-        raise ResourceLimitError(f"enumeration guarded at n <= {MAX_ENUM_N}")
-    for v in range(1 << n):
-        yield tuple((v >> (n - 1 - i)) & 1 for i in range(n))
-
-
 def enumerate_code(params: CodeParams) -> list[Word]:
-    """All codewords in lexicographic order."""
-    return [x for x in _all_words(params.n) if is_member(x, params)]
+    """All codewords in lexicographic order (guarded by ``all_words``)."""
+    return [x for x in all_words(params.n) if is_member(x, params)]
 
 
 def residue_sizes(n: int, window: int) -> list[int]:
-    """Codeword count of every residue class; the classes partition 2^n."""
-    counts = [0] * (n + 1)
-    for x in _all_words(n):
-        counts[syndrome(x, n, window)] += 1
+    """Codeword count of every residue class; the classes partition 2^n.
+
+    The syndrome of x is the checksum sum(i * p_i) mod n+1 of p, the
+    read vector's mod-2 prefix, and x -> p is a bijection on length-n
+    words (``recover_from_mod2`` inverts it).  So class a holds as many
+    words as there are binary p with that checksum equal to a: the
+    Varshamov-Tenengolts class sizes, whatever the window.  They are
+    counted one position at a time in O(n^2) additions.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    m = n + 1
+    counts = [1] + [0] * n
+    for i in range(1, n + 1):
+        counts = [counts[r] + counts[(r - i) % m] for r in range(m)]
     return counts
 
 
 def best_residue(n: int, window: int) -> tuple[int, int]:
-    """Residue with the largest code, ties broken by smallest residue."""
+    """Residue with the largest code, ties broken by smallest residue.
+
+    The window does not matter: x -> p(x) is a bijection for every
+    window, so the class sizes are the Varshamov-Tenengolts sizes (see
+    ``residue_sizes``).  It stays a parameter so that callers name the
+    code they mean.
+    """
     counts = residue_sizes(n, window)
     size = max(counts)
     return counts.index(size), size

@@ -8,14 +8,28 @@ n + window - 1 over the alphabet {0, ..., window}.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 Levels = tuple[int, ...]
 
+MAX_ENUM_N = 24
+
 
 class LengthMismatchError(ValueError):
     """Two sequences that must share a length do not."""
+
+
+class ResourceLimitError(RuntimeError):
+    """Requested enumeration exceeds the guarded problem size."""
+
+
+def all_words(n: int) -> Iterator[Word]:
+    """All binary words of length n in lexicographic order."""
+    if n > MAX_ENUM_N:
+        raise ResourceLimitError(f"word enumeration guarded at n <= {MAX_ENUM_N}")
+    for v in range(1 << n):
+        yield tuple((v >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def weight(x: Sequence[int]) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .balls import (
     deletion_ball,
@@ -20,22 +20,16 @@ from .balls import (
     sticky_read_images,
 )
 from .code import CodeParams, decode, enumerate_code
-from .core import Word, is_valid_read_vector, read_vector
+from .core import (
+    ResourceLimitError,
+    Word,
+    all_words,
+    is_valid_read_vector,
+    read_vector,
+)
 from .reconstruct import reconstruct_two
 
 MAX_EXACT_MIS_N = 8
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested enumeration exceeds the guarded problem size."""
-
-
-def all_words(n: int) -> Iterator[Word]:
-    """All binary words of length n in lexicographic order."""
-    if n > 24:
-        raise ResourceLimitError("word enumeration guarded at n <= 24")
-    for v in range(1 << n):
-        yield tuple((v >> (n - 1 - i)) & 1 for i in range(n))
 
 
 @dataclass
@@ -44,6 +38,14 @@ class CheckResult:
     checked: int
     detail: dict = field(default_factory=dict)
     counterexample: dict | None = None
+
+
+def rho_geq_histogram(n: int, a: int) -> list[int]:
+    """Histogram of rho_geq(., a), tallied word by word over all_words(n)."""
+    hist = [0] * (n // a + 1)
+    for x in all_words(n):
+        hist[rho_geq(x, a)] += 1
+    return hist
 
 
 def confusable_bruteforce(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -250,6 +252,23 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
     )
 
 
+def _pairwise_disjoint(
+    codewords: list[Word], ball: Callable[[Word], set]
+) -> CheckResult:
+    """Pairwise disjointness of the given error balls over a word set."""
+    balls = [ball(x) for x in codewords]
+    pairs = 0
+    for i, j in combinations(range(len(codewords)), 2):
+        pairs += 1
+        if balls[i] & balls[j]:
+            return CheckResult(
+                ok=False,
+                checked=pairs,
+                counterexample={"pair": (codewords[i], codewords[j])},
+            )
+    return CheckResult(ok=True, checked=pairs, detail={"codewords": len(codewords)})
+
+
 def verify_code_property(
     params: CodeParams, codewords: list[Word] | None = None
 ) -> CheckResult:
@@ -260,33 +279,16 @@ def verify_code_property(
     """
     if codewords is None:
         codewords = enumerate_code(params)
-    balls = [deletion_ball(read_vector(x, params.window)) for x in codewords]
-    pairs = 0
-    for i, j in combinations(range(len(codewords)), 2):
-        pairs += 1
-        if balls[i] & balls[j]:
-            return CheckResult(
-                ok=False,
-                checked=pairs,
-                counterexample={"pair": (codewords[i], codewords[j])},
-            )
-    return CheckResult(ok=True, checked=pairs, detail={"codewords": len(codewords)})
+    return _pairwise_disjoint(
+        codewords, lambda x: deletion_ball(read_vector(x, params.window))
+    )
 
 
 def verify_sticky_disjointness(params: CodeParams) -> CheckResult:
     """Pairwise disjointness of in-run deletion balls over a code."""
-    codewords = enumerate_code(params)
-    balls = [sticky_ball(x, params.window) for x in codewords]
-    pairs = 0
-    for i, j in combinations(range(len(codewords)), 2):
-        pairs += 1
-        if balls[i] & balls[j]:
-            return CheckResult(
-                ok=False,
-                checked=pairs,
-                counterexample={"pair": (codewords[i], codewords[j])},
-            )
-    return CheckResult(ok=True, checked=pairs, detail={"codewords": len(codewords)})
+    return _pairwise_disjoint(
+        enumerate_code(params), lambda x: sticky_ball(x, params.window)
+    )
 
 
 def verify_decoder(n: int, window: int) -> CheckResult:

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from nanoread import balls, bounds, cli, code, core, kernels, oracle, reconstruct
+from nanoread import balls, bounds, cli, code, core, oracle, reconstruct
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -114,8 +114,8 @@ def test_c07_two_read_reconstruction():
 def test_c08_expected_runs_formula():
     for n in range(1, 15):
         for a in range(1, n + 1):
-            hist = kernels.rho_geq_histogram(n, a)
-            avg = Fraction(sum(r * int(hist[r]) for r in range(len(hist))), 1 << n)
+            hist = oracle.rho_geq_histogram(n, a)
+            avg = Fraction(sum(r * k for r, k in enumerate(hist)), 1 << n)
             if avg != bounds.expected_runs(n, a):
                 report("08 expected runs", False, f"n={n} a={a} avg={avg}")
     report("08 expected runs", True)

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from nanoread.balls import rho_geq, sticky_ball
+from nanoread import oracle
 from nanoread.bounds import (
     bound_report,
     expected_runs,
     packing_chain,
     redundancy_lower_bound,
+    rho_geq_histogram,
     tail_count,
     weighted_sum,
 )
@@ -34,6 +36,28 @@ class TestRedundancyLowerBound:
             val = redundancy_lower_bound(n, 2)
             assert val > prev
             prev = val
+
+
+class TestRhoGeqHistogram:
+    def test_matches_oracle(self):
+        # every word counted once, including a > n where only r = 0 occurs
+        for n in range(15):
+            for a in range(1, 6):
+                assert rho_geq_histogram(n, a) == oracle.rho_geq_histogram(n, a), (n, a)
+
+    def test_exact_identities(self):
+        for n in (64, 256):
+            for a in range(1, 6):
+                hist = rho_geq_histogram(n, a)
+                assert sum(hist) == 1 << n
+                mean = Fraction(sum(r * k for r, k in enumerate(hist)), 1 << n)
+                assert mean == expected_runs(n, a)
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            rho_geq_histogram(4, 0)
+        with pytest.raises(ValueError):
+            rho_geq_histogram(-1, 2)
 
 
 class TestWeightedSum:
@@ -124,6 +148,10 @@ class TestBoundReport:
         assert rep.weighted_sum is not None
         assert rep.tail_count is not None
         assert rep.expected_runs is not None
+
+    def test_large_n_all_fields(self):
+        rep = bound_report(40, 2)
+        assert all(v is not None for v in vars(rep).values())
 
     def test_lower_bound_absent_at_boundary(self):
         rep = bound_report(4, 2)

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nanoread
 from nanoread.cli import main
 
 
@@ -128,6 +133,24 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_empty_range_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "verify", "decoder", "--n", "9..8")
+        assert code == 2
+        assert out == ""
+
+    def test_every_cell_skipped_is_usage_error(self, capsys):
+        # a > n for every cell: tail-bound produces no record
+        code, out, _ = run(capsys, "verify", "tail-bound", "--n", "3", "--l", "5")
+        assert code == 2
+        assert out == ""
+
+    def test_beyond_float_range_is_usage_error(self, capsys):
+        # exact counts have no size limit, but the float bound 2^n e^(..)
+        # overflows from n = 1024 on
+        code, _, err = run(capsys, "verify", "tail-bound", "--n", "1024", "--l", "3")
+        assert code == 2
+        assert "error:" in err
+
     def test_unknown_check_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "bogus", "--n", "4"])
@@ -151,7 +174,40 @@ class TestBounds:
                       "tail_count", "expected_runs"):
             assert field in header
 
+    def test_empty_range_is_usage_error(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--n", "9..8", "--l", "2", "--format", "csv"
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_best_residue_beyond_enumeration_sizes(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--n", "30", "--l", "2")
+        row = json.loads(out)
+        assert row["best_residue"] == 0
+        assert row["best_size"] >= 2**30 / 31
+        assert row["weighted_sum"] is not None and row["tail_count"] is not None
+
     def test_small_n_leaves_lower_bound_blank(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "4", "--l", "2")
         row = json.loads(out)
         assert row["lower_bound_bits"] is None
+
+
+def test_import_loads_only_stdlib():
+    # the package has no runtime dependencies: importing the CLI pulls in
+    # nothing beyond the standard library
+    src = pathlib.Path(nanoread.__file__).resolve().parents[1]
+    probe = (
+        "import sys; before = set(sys.modules); import nanoread.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'nanoread'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

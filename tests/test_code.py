@@ -48,6 +48,18 @@ class TestEnumeration:
         for n, w in ((5, 2), (6, 3), (7, 1)):
             assert sum(residue_sizes(n, w)) == 1 << n
 
+    def test_sizes_match_syndrome_tally(self):
+        for n in range(13):
+            for w in range(1, 5):
+                tally = [0] * (n + 1)
+                for x in all_words(n):
+                    tally[syndrome(x, n, w)] += 1
+                assert residue_sizes(n, w) == tally, (n, w)
+
+    def test_best_residue_is_window_free(self):
+        for w in (1, 2, 3):
+            assert best_residue(16, w) == (0, 3856)
+
     def test_best_residue_pigeonhole(self):
         for n, w in ((2, 1), (6, 3), (8, 2)):
             _, size = best_residue(n, w)
