@@ -93,7 +93,8 @@ def packing_chain(n: int, window: int) -> tuple[Fraction, Fraction, float]:
     """Successive upper bounds on the maximum in-run-deletion code size.
 
     Returns (exact weighted sum, tail-split bound, relaxed closed form);
-    each term is at most the next wherever all are defined.
+    each term is at most the next wherever all are defined.  The closed
+    form is a float, and ``math.inf`` once it passes the float range.
     """
     ws = weighted_sum(n, window)
 
@@ -105,10 +106,23 @@ def packing_chain(n: int, window: int) -> tuple[Fraction, Fraction, float]:
     bulk = sum(k for r, k in enumerate(hist) if r >= t)
     split = Fraction(tail) + Fraction(bulk, t) if t >= 1 else Fraction(tail + bulk)
 
-    closed = 2 ** (n - 1) * math.exp(-(n - 1) / 2 ** (2 * window + 1)) + 2 ** (
-        n + window
-    ) / (n - 2 * window + 3)
+    try:
+        closed = math.ldexp(
+            math.exp(-(n - 1) / 2 ** (2 * window + 1)), n - 1
+        ) + 2 ** (n + window) / (n - 2 * window + 3)
+    except OverflowError:  # beyond float range; the chain still holds
+        closed = math.inf
     return ws, split, closed
+
+
+def _float_or_none(q: Fraction | None) -> float | None:
+    """float(q), or None when q is None or lies beyond the float range."""
+    if q is None:
+        return None
+    try:
+        return float(q)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -128,9 +142,7 @@ class BoundReport:
             "weighted_sum": (
                 str(self.weighted_sum) if self.weighted_sum is not None else None
             ),
-            "weighted_sum_float": (
-                float(self.weighted_sum) if self.weighted_sum is not None else None
-            ),
+            "weighted_sum_float": _float_or_none(self.weighted_sum),
             "tail_count": self.tail_count,
             "expected_runs": (
                 str(self.expected_runs) if self.expected_runs is not None else None

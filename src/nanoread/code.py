@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .balls import deletion_ball
 from .core import (
     ResourceLimitError,  # noqa: F401  (re-exported)
     Word,
@@ -50,12 +49,16 @@ class DecodeOutcome:
     path: str  # "no-deletion", "immediate" or "vt"
 
 
+def _checksum(bits: Sequence[int], n: int) -> int:
+    """sum(i * bits_i) mod n+1, positions counted from 1."""
+    return sum(i * b for i, b in enumerate(bits, 1)) % (n + 1)
+
+
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
     """Weighted checksum of the read vector's mod-2 prefix, mod n+1."""
     if len(x) != n:
         raise ValueError(f"word length {len(x)} != n = {n}")
-    rv = read_vector(x, window)
-    return sum(i * (rv[i - 1] % 2) for i in range(1, n + 1)) % (n + 1)
+    return _checksum([s % 2 for s in read_vector(x, window)[:n]], n)
 
 
 def is_member(x: Sequence[int], params: CodeParams) -> bool:
@@ -132,24 +135,51 @@ def immediate_correct(candidate: Sequence[int]) -> tuple[int, ...] | None:
 def vt_insert(received: Sequence[int], residue: int, n: int) -> tuple[int, ...]:
     """Recover the length-n bit sequence with checksum residue mod n+1.
 
-    Tries every insertion position and symbol; the checksum constraint
-    leaves exactly one candidate when the input really arose from a
-    single deletion.
+    Levenshtein's decoder for the Varshamov-Tenengolts code, one O(n)
+    scan.  Inserting a 0 raises the checksum sum(j * y_j) by the number
+    of ones to its right; inserting a 1 raises it by w + 1 plus the
+    number of zeros to its left, where w is the weight of the received
+    bits.  With the deficiency d = (residue - checksum) mod n+1, the
+    insertion is a 0 with d ones to its right when d <= w, otherwise a 1
+    with d - w - 1 zeros to its left.  Every residue has exactly one
+    such supersequence.
     """
     received = tuple(received)
     if len(received) != n - 1:
         raise ValueError(f"received length {len(received)} != n - 1 = {n - 1}")
-    survivors = set()
-    for i in range(n):
-        for b in (0, 1):
-            cand = received[:i] + (b,) + received[i:]
-            if sum(j * cand[j - 1] for j in range(1, n + 1)) % (n + 1) == residue:
-                survivors.add(cand)
-    if not survivors:
+    if not set(received) <= {0, 1}:
+        raise ValueError("received must be a bit sequence")
+    if not 0 <= residue <= n:
         raise DecodeFailure("no insertion meets the checksum")
-    if len(survivors) > 1:
-        raise DecodeFailure(f"ambiguous checksum decoding: {sorted(survivors)}")
-    return survivors.pop()
+    w = sum(received)
+    d = (residue - _checksum(received, n)) % (n + 1)
+    if d <= w:
+        bit, i, ones = 0, len(received), 0
+        while ones < d:
+            i -= 1
+            ones += received[i]
+    else:
+        bit, i, zeros = 1, 0, 0
+        while zeros < d - w - 1:
+            zeros += 1 - received[i]
+            i += 1
+    return received[:i] + (bit,) + received[i:]
+
+
+def _is_one_deletion(short: tuple[int, ...], full: tuple[int, ...]) -> bool:
+    """Whether deleting one entry of full leaves short, in one scan."""
+    i = 0
+    while i < len(short) and short[i] == full[i]:
+        i += 1
+    return short[i:] == full[i + 1 :]
+
+
+def _codeword(levels: tuple[int, ...], params: CodeParams) -> Word:
+    """The word of a legitimate read vector, if it lies in the code."""
+    prefix = [s % 2 for s in levels[: params.n]]
+    if _checksum(prefix, params.n) != params.residue:
+        raise DecodeFailure("the read vector's word is not a codeword")
+    return recover_from_mod2(prefix, params.window)
 
 
 def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
@@ -158,7 +188,9 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     Full-length inputs are validated and inverted directly.  Shortened
     inputs first try gap repair; failing that, the first n-1 entries mod
     2 are decoded against the checksum and the word is rebuilt from the
-    recovered prefix.
+    recovered prefix.  The result is a codeword whose read vector is the
+    input or one deletion of it; when no codeword is, ``DecodeFailure``
+    or ``MalformedInputError`` is raised.
     """
     candidate = tuple(candidate)
     n, window = params.n, params.window
@@ -167,8 +199,7 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     if len(candidate) == full:
         if not is_valid_read_vector(candidate, window, n):
             raise DecodeFailure("full-length input is not a legitimate read vector")
-        x = recover_from_mod2([s % 2 for s in candidate[:n]], window)
-        return DecodeOutcome(word=x, path="no-deletion")
+        return DecodeOutcome(word=_codeword(candidate, params), path="no-deletion")
 
     if len(candidate) != full - 1:
         raise ValueError(
@@ -179,11 +210,10 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     if repaired is not None:
         if not is_valid_read_vector(repaired, window, n):
             raise DecodeFailure("gap repair did not yield a legitimate read vector")
-        x = recover_from_mod2([s % 2 for s in repaired[:n]], window)
-        return DecodeOutcome(word=x, path="immediate")
+        return DecodeOutcome(word=_codeword(repaired, params), path="immediate")
 
     prefix = vt_insert([s % 2 for s in candidate[: n - 1]], params.residue, n)
     x = recover_from_mod2(prefix, window)
-    if candidate not in deletion_ball(read_vector(x, window)):
+    if not _is_one_deletion(candidate, read_vector(x, window)):
         raise DecodeFailure("recovered word is inconsistent with the received read")
     return DecodeOutcome(word=x, path="vt")

@@ -85,20 +85,32 @@ def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
 def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:
     """True iff some binary word of length n has this read vector.
 
-    Checks symbol range and the adjacent-difference bound, then inverts
-    the mod-2 prefix and re-transforms: the candidate is legitimate
-    exactly when the round trip reproduces it.
+    One pass: the word is recovered from the mod-2 prefix (as in
+    ``recover_from_mod2``) while it is re-transformed (as in
+    ``read_vector``), and the candidate is legitimate exactly when every
+    entry of the round trip reproduces it.  Stops at the first mismatch.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if len(levels) != n + window - 1:
         raise LengthMismatchError(
             f"candidate length {len(levels)} != n + window - 1 = {n + window - 1}"
         )
-    if any(s < 0 or s > window for s in levels):
-        return False
-    if any(abs(levels[j + 1] - levels[j]) > 1 for j in range(len(levels) - 1)):
-        return False
-    x = recover_from_mod2([s % 2 for s in levels[:n]], window)
-    return read_vector(x, window) == tuple(levels)
+    x = []
+    acc = prev = 0
+    for i, s in enumerate(levels):
+        back = x[i - window] if i >= window else 0
+        if i < n:
+            bit = (s - prev + back) % 2
+            x.append(bit)
+            acc += bit
+            prev = s
+        acc -= back
+        if s != acc:
+            return False
+    return True
 
 
 # --- serialization -----------------------------------------------------

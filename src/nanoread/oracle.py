@@ -19,7 +19,7 @@ from .balls import (
     sticky_ball,
     sticky_read_images,
 )
-from .code import CodeParams, decode, enumerate_code
+from .code import CodeParams, DecodeFailure, decode, enumerate_code, syndrome
 from .core import (
     ResourceLimitError,
     Word,
@@ -42,10 +42,34 @@ class CheckResult:
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
     """Histogram of rho_geq(., a), tallied word by word over all_words(n)."""
+    if a < 1:
+        raise ValueError("run-length threshold must be >= 1")
     hist = [0] * (n // a + 1)
     for x in all_words(n):
         hist[rho_geq(x, a)] += 1
     return hist
+
+
+def vt_insert_bruteforce(
+    received: Sequence[int], residue: int, n: int
+) -> tuple[int, ...]:
+    """Every insertion position and symbol, kept when the checksum
+    sum(j * x_j) mod n+1 equals the residue; exactly one survives when
+    the input arose from a single deletion."""
+    received = tuple(received)
+    if len(received) != n - 1:
+        raise ValueError(f"received length {len(received)} != n - 1 = {n - 1}")
+    survivors = set()
+    for i in range(n):
+        for b in (0, 1):
+            cand = received[:i] + (b,) + received[i:]
+            if sum(j * cand[j - 1] for j in range(1, n + 1)) % (n + 1) == residue:
+                survivors.add(cand)
+    if not survivors:
+        raise DecodeFailure("no insertion meets the checksum")
+    if len(survivors) > 1:
+        raise DecodeFailure(f"ambiguous checksum decoding: {sorted(survivors)}")
+    return survivors.pop()
 
 
 def confusable_bruteforce(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -293,22 +317,29 @@ def verify_sticky_disjointness(params: CodeParams) -> CheckResult:
 
 def verify_decoder(n: int, window: int) -> CheckResult:
     """Exhaustive decode of every single deletion of every codeword,
-    over every residue class."""
+    over every residue class.
+
+    One pass over all words sorts them into their residue classes, in
+    lexicographic order within each class.
+    """
+    params = [CodeParams(n=n, window=window, residue=a) for a in range(n + 1)]
+    codes: list[list[Word]] = [[] for _ in params]
+    for x in all_words(n):
+        codes[syndrome(x, n, window)].append(x)
     checked = 0
-    for residue in range(n + 1):
-        params = CodeParams(n=n, window=window, residue=residue)
-        for x in enumerate_code(params):
+    for p, codewords in zip(params, codes):
+        for x in codewords:
             rv = read_vector(x, window)
             for cand in deletion_ball(rv):
                 checked += 1
-                outcome = decode(cand, params)
+                outcome = decode(cand, p)
                 if outcome.word != x:
                     return CheckResult(
                         ok=False,
                         checked=checked,
                         counterexample={
                             "word": x,
-                            "residue": residue,
+                            "residue": p.residue,
                             "received": cand,
                             "decoded": outcome.word,
                         },

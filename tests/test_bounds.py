@@ -58,6 +58,8 @@ class TestRhoGeqHistogram:
             rho_geq_histogram(4, 0)
         with pytest.raises(ValueError):
             rho_geq_histogram(-1, 2)
+        with pytest.raises(ValueError):
+            oracle.rho_geq_histogram(4, 0)
 
 
 class TestWeightedSum:
@@ -139,6 +141,11 @@ class TestPackingChain:
                 ws, split, closed = packing_chain(n, w)
                 assert ws <= split
                 assert float(split) <= closed + 1e-9
+
+    def test_closed_form_beyond_float_range(self):
+        ws, split, closed = packing_chain(1100, 2)
+        assert closed == math.inf
+        assert ws <= split <= closed
 
 
 class TestBoundReport:

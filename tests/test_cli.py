@@ -188,6 +188,13 @@ class TestBounds:
         assert row["best_size"] >= 2**30 / 31
         assert row["weighted_sum"] is not None and row["tail_count"] is not None
 
+    def test_beyond_float_range_keeps_exact_fields(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--n", "1040", "--l", "2")
+        assert code == 0
+        row = json.loads(out)
+        assert row["weighted_sum_float"] is None
+        assert row["weighted_sum"] is not None and row["tail_count"] is not None
+
     def test_small_n_leaves_lower_bound_blank(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "4", "--l", "2")
         row = json.loads(out)

@@ -1,6 +1,9 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanoread.balls import deletion_ball, sticky_ball
 from nanoread.code import (
@@ -19,7 +22,7 @@ from nanoread.code import (
     vt_insert,
 )
 from nanoread.core import read_vector
-from nanoread.oracle import all_words
+from nanoread.oracle import all_words, vt_insert_bruteforce
 
 
 class TestSyndrome:
@@ -132,6 +135,21 @@ class TestVtInsert:
         supers = {vt_insert(received, a, n) for a in range(n + 1)}
         assert len(supers) == n + 1
 
+    def test_matches_bruteforce(self):
+        for n in range(1, 13):
+            for y in all_words(n - 1):
+                for a in range(n + 1):
+                    assert vt_insert(y, a, n) == vt_insert_bruteforce(y, a, n)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            vt_insert((0, 2, 1), 0, 4)
+        with pytest.raises(ValueError):
+            vt_insert((0, 1), 0, 4)
+        # no checksum mod n+1 equals a residue outside {0, ..., n}
+        with pytest.raises(DecodeFailure):
+            vt_insert((0, 1, 1), 5, 4)
+
     def test_unique_survivor_exhaustive(self):
         for n in range(2, 10):
             for x in all_words(n):
@@ -183,6 +201,88 @@ class TestDecode:
             for pos in (len(rv) - 1, len(rv) - 2):
                 received = rv[:pos] + rv[pos + 1 :]
                 assert decode(received, params).word == x
+
+
+def _sources(n, w):
+    """The read vector of every length-n word and each single deletion
+    of it, mapped to the words it can come from."""
+    owners = {}
+    for x in all_words(n):
+        rv = read_vector(x, w)
+        for c in {rv} | deletion_ball(rv):
+            owners.setdefault(c, []).append(x)
+    return owners
+
+
+def _check_contract(inputs, n, w, owners):
+    """decode returns the one codeword the input is consistent with
+    (as the read vector or one deletion of it) and raises when there is
+    none."""
+    syndromes = {x: syndrome(x, n, w) for x in all_words(n)}
+    for c in inputs:
+        for a in range(n + 1):
+            want = [x for x in owners.get(c, ()) if syndromes[x] == a]
+            assert len(want) <= 1, (c, a, want)
+            try:
+                got = [decode(c, CodeParams(n, w, a)).word]
+            except (DecodeFailure, MalformedInputError):
+                got = []
+            assert got == want, (c, n, w, a)
+
+
+class TestDecodeContract:
+    def test_every_sequence_small(self):
+        # both input lengths, every sequence over symbols -1..w+1,
+        # for n + w - 1 <= 6
+        for w in (1, 2, 3):
+            for n in range(w, 8 - w):
+                owners = _sources(n, w)
+                for m in (n + w - 1, n + w - 2):
+                    inputs = itertools.product(range(-1, w + 2), repeat=m)
+                    _check_contract(inputs, n, w, owners)
+
+    def test_every_read_and_deletion(self):
+        # every word, codeword of the residue or not, read whole or once
+        # deleted: the inputs on which decode used to return non-codewords
+        for w in (1, 2, 3):
+            for n in range(w, 9):
+                owners = _sources(n, w)
+                _check_contract(owners, n, w, owners)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_result_is_a_consistent_codeword(self, data):
+        # a read of any word under any residue, perhaps once deleted,
+        # perhaps with one entry set to any symbol in -1..w+1
+        n = data.draw(st.integers(8, 64))
+        w = data.draw(st.integers(1, 4))
+        params = CodeParams(n, w, data.draw(st.integers(0, n)))
+        x = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        c = list(read_vector(x, w))
+        if data.draw(st.booleans()):
+            del c[data.draw(st.integers(0, len(c) - 1))]
+        if data.draw(st.booleans()):
+            pos = data.draw(st.integers(0, len(c) - 1))
+            c[pos] = data.draw(st.integers(-1, w + 1))
+        try:
+            word = decode(c, params).word
+        except (DecodeFailure, MalformedInputError):
+            return
+        assert is_member(word, params)
+        rv = read_vector(word, w)
+        assert tuple(c) == rv or tuple(c) in deletion_ball(rv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_large_n_one_deletion_round_trip(self, data):
+        n = data.draw(st.sampled_from((256, 1024)))
+        w = data.draw(st.integers(1, 4))
+        x = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        params = CodeParams(n, w, syndrome(x, n, w))
+        rv = read_vector(x, w)
+        pos = data.draw(st.integers(0, len(rv) - 1))
+        assert decode(rv[:pos] + rv[pos + 1 :], params).word == x
+        assert decode(rv, params).word == x
 
 
 class TestDisjointness:

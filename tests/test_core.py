@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +94,22 @@ class TestValidity:
     def test_length_mismatch_raises(self):
         with pytest.raises(LengthMismatchError):
             is_valid_read_vector((1, 1, 1), 3, 6)
+
+    def test_accepts_exactly_the_image(self):
+        # every sequence over -1..w+1 of length n + w - 1 <= 8, so
+        # out-of-range symbols and steps of 2 or more are covered too
+        for w in (1, 2, 3):
+            for n in range(0, 10 - w):
+                image = {read_vector(x, w) for x in all_words(n)}
+                candidates = itertools.product(range(-1, w + 2), repeat=n + w - 1)
+                valid = {c for c in candidates if is_valid_read_vector(c, w, n)}
+                assert valid == image, (n, w)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            is_valid_read_vector((0, 0), 0, 3)
+        with pytest.raises(ValueError):
+            is_valid_read_vector((0,), 3, -1)
 
     def test_image_accepted(self):
         for w in (1, 2, 3):
