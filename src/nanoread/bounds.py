@@ -2,8 +2,10 @@
 
 All combinatorial quantities are exact integers or fractions, taken
 from the run histogram below, which counts words instead of listing
-them; only the closed-form redundancy bound uses floating point, since
-it mixes logs and exp.
+them in O(n * a) whole-list steps; a bound report or packing chain
+builds its histogram once and takes every field from it.  Only the
+closed-form redundancy bound uses floating point, since it mixes logs
+and exp.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
@@ -18,29 +21,39 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
 
     Entry r is the number of words with exactly r maximal runs of length
     >= a.  A transfer-matrix count: the state is the length of the last
-    run, capped at a, and each state carries its counts indexed by r.
-    Appending a bit either extends the last run or starts a new one, and
-    a run is counted when its length reaches a.  O(n^2) additions.
+    run, capped at a, and each state carries its count vector indexed by
+    r.  Appending a bit either starts a new run (every state goes to
+    length 1) or extends the last one (length c goes to c + 1, and the
+    run is counted, a one-place shift of its vector, when it reaches a).
+    Each step is O(a) whole-list additions and shifts, so n steps cost
+    O(n * a) Python-level operations on lists of n // a + 1 counts.
     """
     if a < 1:
         raise ValueError("run-length threshold must be >= 1")
     if n < 0:
         raise ValueError("word length must be >= 0")
+    if n == 0:
+        return [1]
     size = n // a + 1
-    # by_run[c][r]: words whose last run has capped length c; the empty
-    # word has a run of length 0, and both ways out of it give length 1
-    by_run = [[0] * size for _ in range(a + 1)]
-    by_run[0][0] = 1
-    for _ in range(n):
-        nxt = [[0] * size for _ in range(a + 1)]
-        for c in range(a + 1):
-            grown = min(c + 1, a)
-            for r, k in enumerate(by_run[c]):
-                if k:
-                    nxt[1][r + (a == 1)] += k
-                    nxt[grown][r + (c + 1 == a)] += k
+    # by_run[c - 1][r]: words whose last run has capped length c; both
+    # one-bit words end in a run of length 1, counted when a == 1
+    by_run = [[0] * size for _ in range(a)]
+    by_run[0][int(a == 1)] = 2
+    for _ in range(n - 1):
+        nxt = [_add_all(by_run)] + by_run[:-1]
+        # the vector now in state a holds runs that just reached a (one
+        # more run each) plus the runs already capped at a
+        nxt[-1] = list(map(add, [0] + nxt[-1][:-1], by_run[-1]))
         by_run = nxt
-    return [sum(col) for col in zip(*by_run)]
+    return _add_all(by_run)
+
+
+def _add_all(vectors: list[list[int]]) -> list[int]:
+    """Entrywise sum of equal-length count vectors."""
+    total = vectors[0]
+    for counts in vectors[1:]:
+        total = list(map(add, total, counts))
+    return total
 
 
 def redundancy_lower_bound(n: int, window: int) -> float:
@@ -63,12 +76,26 @@ def weighted_sum(n: int, window: int) -> Fraction:
     """Exact sphere-packing upper bound on the in-run-deletion code size.
 
     Sums, over all words y of length n-1, 1/rho_geq(y, window) when
-    positive and 1 otherwise.
+    positive and 1 otherwise, from the run histogram of length n-1.
     """
+    return _weighted_sum(_output_histogram(n, window))
+
+
+def _output_histogram(n: int, window: int) -> list[int]:
+    """Run histogram of the length-(n-1) words one deletion leaves."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    hist = rho_geq_histogram(n - 1, window)
-    return Fraction(hist[0]) + sum(Fraction(k, r) for r, k in enumerate(hist) if r)
+    return rho_geq_histogram(n - 1, window)
+
+
+def _weighted_sum(hist: list[int]) -> Fraction:
+    """Sum of hist[r] / r over r >= 1, plus hist[0].
+
+    Taken over the common denominator lcm(1..R), R the largest r, so
+    the sum is integer arithmetic with one reduction at the end.
+    """
+    den = math.lcm(*range(1, len(hist)))
+    return Fraction(sum(k * (den // max(r, 1)) for r, k in enumerate(hist)), den)
 
 
 def tail_count(n: int, a: int) -> int:
@@ -77,7 +104,11 @@ def tail_count(n: int, a: int) -> int:
     The cutoff is (n - 2a + 4) / 2^(a+1); the comparison is done in
     integers so the count is exact.
     """
-    hist = rho_geq_histogram(n, a)
+    return _tail_count(rho_geq_histogram(n, a), n, a)
+
+
+def _tail_count(hist: list[int], n: int, a: int) -> int:
+    """``tail_count(n, a)`` from ``hist = rho_geq_histogram(n, a)``."""
     shift = 2 ** (a + 1)
     return sum(k for r, k in enumerate(hist) if r * shift < n - 2 * a + 4)
 
@@ -94,22 +125,26 @@ def packing_chain(n: int, window: int) -> tuple[Fraction, Fraction, float]:
 
     Returns (exact weighted sum, tail-split bound, relaxed closed form);
     each term is at most the next wherever all are defined.  The closed
-    form is a float, and ``math.inf`` once it passes the float range.
+    form is a float.  It is ``math.inf`` once it passes the float range,
+    and wherever n - 2*window + 3 <= 0: there its denominator is zero or
+    negative and it bounds nothing.
     """
-    ws = weighted_sum(n, window)
+    hist = _output_histogram(n, window)
+    ws = _weighted_sum(hist)
 
-    hist = rho_geq_histogram(n - 1, window)
     shift = 2 ** (window + 1)
     cutoff_num = n - 2 * window + 3  # threshold times 2^(window+1)
-    tail = sum(k for r, k in enumerate(hist) if r * shift < cutoff_num)
+    tail = _tail_count(hist, n - 1, window)  # words with r * shift < cutoff_num
     t = -((-cutoff_num) // shift)  # ceil of the cutoff
-    bulk = sum(k for r, k in enumerate(hist) if r >= t)
+    bulk = sum(hist) - tail  # words with r >= t
     split = Fraction(tail) + Fraction(bulk, t) if t >= 1 else Fraction(tail + bulk)
 
+    if cutoff_num <= 0:
+        return ws, split, math.inf
     try:
         closed = math.ldexp(
             math.exp(-(n - 1) / 2 ** (2 * window + 1)), n - 1
-        ) + 2 ** (n + window) / (n - 2 * window + 3)
+        ) + 2 ** (n + window) / cutoff_num
     except OverflowError:  # beyond float range; the chain still holds
         closed = math.inf
     return ws, split, closed
@@ -158,8 +193,9 @@ def bound_report(n: int, window: int) -> BoundReport:
     lower = None
     if window >= 2 and n > 2 * window:
         lower = redundancy_lower_bound(n, window)
-    ws = weighted_sum(n, window)
-    tail = tail_count(n - 1, window) if n >= 2 else None
+    hist = _output_histogram(n, window)
+    ws = _weighted_sum(hist)
+    tail = _tail_count(hist, n - 1, window) if n >= 2 else None
     exp_runs = expected_runs(n, window) if 1 <= window <= n else None
     return BoundReport(
         n=n,

@@ -77,6 +77,9 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.trials < 1:
+        _note(f"roundtrip: --trials {args.trials} runs no trial; need at least 1")
+        return 2
     residue = args.a
     if residue is None:
         residue, _ = code.best_residue(args.n, args.l)
@@ -136,6 +139,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.trials < 1:
+        _note(f"reconstruct: --trials {args.trials} runs no trial; need at least 1")
+        return 2
     if args.l < 2:
         raise SystemExit("reconstruction requires --l >= 2")
     successes = failures = skipped = 0

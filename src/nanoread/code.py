@@ -10,6 +10,7 @@ insertion-correcting decoding of the truncated mod-2 prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -78,14 +79,15 @@ def residue_sizes(n: int, window: int) -> list[int]:
     words (``recover_from_mod2`` inverts it).  So class a holds as many
     words as there are binary p with that checksum equal to a: the
     Varshamov-Tenengolts class sizes, whatever the window.  They are
-    counted one position at a time in O(n^2) additions.
+    counted one position at a time: p_i = 1 adds i to the checksum, a
+    rotation of the count vector by i places, so each position is one
+    whole-list addition of n + 1 counts.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    m = n + 1
     counts = [1] + [0] * n
     for i in range(1, n + 1):
-        counts = [counts[r] + counts[(r - i) % m] for r in range(m)]
+        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
     return counts
 
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nanoread.balls import rho_geq, sticky_ball
 from nanoread import oracle
@@ -14,6 +15,7 @@ from nanoread.bounds import (
     tail_count,
     weighted_sum,
 )
+from nanoread.code import residue_sizes
 from nanoread.oracle import all_words
 
 
@@ -52,6 +54,21 @@ class TestRhoGeqHistogram:
                 assert sum(hist) == 1 << n
                 mean = Fraction(sum(r * k for r, k in enumerate(hist)), 1 << n)
                 assert mean == expected_runs(n, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(15, 400), a=st.integers(1, 8))
+    def test_large_n_identities(self, n, a):
+        hist = rho_geq_histogram(n, a)
+        assert len(hist) == n // a + 1
+        assert sum(hist) == 1 << n
+        if a <= n:
+            runs = sum(r * k for r, k in enumerate(hist))
+            assert runs == (1 << n) * expected_runs(n, a)
+        assert sum(residue_sizes(n, a)) == 1 << n
+        # bound_report builds one histogram for both of these fields
+        rep = bound_report(n, a)
+        assert rep.weighted_sum == weighted_sum(n, a)
+        assert rep.tail_count == tail_count(n - 1, a)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -141,6 +158,15 @@ class TestPackingChain:
                 ws, split, closed = packing_chain(n, w)
                 assert ws <= split
                 assert float(split) <= closed + 1e-9
+
+    def test_terms_ordered_at_small_n(self):
+        # n - 2*window + 3 <= 0 leaves the closed form no positive
+        # denominator; it is math.inf there
+        for w in range(1, 6):
+            for n in range(1, 2 * w + 3):
+                ws, split, closed = packing_chain(n, w)
+                assert ws <= split <= closed, (n, w)
+                assert (closed == math.inf) == (n - 2 * w + 3 <= 0), (n, w)
 
     def test_closed_form_beyond_float_range(self):
         ws, split, closed = packing_chain(1100, 2)

@@ -88,6 +88,15 @@ class TestRoundtrip:
         assert rec["out_of_model"] > 0
         assert rec["successes"] + rec["failures"] + rec["out_of_model"] == 200
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        code, out, err = run(
+            capsys, "roundtrip", "--n", "8", "--l", "2", "--trials", trials
+        )
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
 
 class TestReconstructCmd:
     def test_success_and_determinism(self, capsys):
@@ -106,6 +115,15 @@ class TestReconstructCmd:
     def test_window_one_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["reconstruct", "--n", "6", "--l", "1"])
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        code, out, err = run(
+            capsys, "reconstruct", "--n", "10", "--l", "2", "--trials", trials
+        )
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
 
 
 class TestVerify:
