@@ -80,6 +80,9 @@ def cmd_roundtrip(args) -> int:
     if args.trials < 1:
         _note(f"roundtrip: --trials {args.trials} runs no trial; need at least 1")
         return 2
+    if args.p is not None and not 0 <= args.p <= 1:
+        _note(f"roundtrip: --p {args.p} is not a probability; need 0 <= p <= 1")
+        return 2
     residue = args.a
     if residue is None:
         residue, _ = code.best_residue(args.n, args.l)
@@ -156,13 +159,19 @@ def cmd_reconstruct(args) -> int:
         i, j = rng.sample(range(len(ball)), 2)
         try:
             got = reconstruct.reconstruct_two(ball[i], ball[j], args.l, args.n)
-        except (reconstruct.InconsistentReadsError, reconstruct.BothCandidatesValidError):
+        except reconstruct.InconsistentReadsError:
             failures += 1
             continue
         if got == rv:
             successes += 1
         else:
             failures += 1
+    if not successes + failures:
+        _note(
+            f"reconstruct: all {skipped} trials were singleton skips; "
+            "no pair of reads was checked"
+        )
+        return 2
 
     record = {
         "command": "reconstruct",

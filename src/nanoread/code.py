@@ -10,14 +10,15 @@ insertion-correcting decoding of the truncated mod-2 prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .core import (
     ResourceLimitError,  # noqa: F401  (re-exported)
     Word,
+    _is_one_deletion,
+    _word_of,
     all_words,
-    is_valid_read_vector,
     read_vector,
     recover_from_mod2,
 )
@@ -52,7 +53,7 @@ class DecodeOutcome:
 
 def _checksum(bits: Sequence[int], n: int) -> int:
     """sum(i * bits_i) mod n+1, positions counted from 1."""
-    return sum(i * b for i, b in enumerate(bits, 1)) % (n + 1)
+    return sum(map(mul, bits, range(1, len(bits) + 1))) % (n + 1)
 
 
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
@@ -153,6 +154,11 @@ def vt_insert(received: Sequence[int], residue: int, n: int) -> tuple[int, ...]:
         raise ValueError("received must be a bit sequence")
     if not 0 <= residue <= n:
         raise DecodeFailure("no insertion meets the checksum")
+    return _vt_insert(received, residue, n)
+
+
+def _vt_insert(received: tuple[int, ...], residue: int, n: int) -> tuple[int, ...]:
+    """``vt_insert`` on arguments already known to be in range."""
     w = sum(received)
     d = (residue - _checksum(received, n)) % (n + 1)
     if d <= w:
@@ -168,28 +174,27 @@ def vt_insert(received: Sequence[int], residue: int, n: int) -> tuple[int, ...]:
     return received[:i] + (bit,) + received[i:]
 
 
-def _is_one_deletion(short: tuple[int, ...], full: tuple[int, ...]) -> bool:
-    """Whether deleting one entry of full leaves short, in one scan."""
-    i = 0
-    while i < len(short) and short[i] == full[i]:
-        i += 1
-    return short[i:] == full[i + 1 :]
+def _codeword(levels: tuple[int, ...], params: CodeParams, invalid: str) -> Word:
+    """The word of levels if it is a read vector of a codeword.
 
-
-def _codeword(levels: tuple[int, ...], params: CodeParams) -> Word:
-    """The word of a legitimate read vector, if it lies in the code."""
-    prefix = [s % 2 for s in levels[: params.n]]
-    if _checksum(prefix, params.n) != params.residue:
+    Raises ``DecodeFailure`` with the message invalid when levels is not
+    a legitimate read vector, and another when its word is not in the
+    code.
+    """
+    x = _word_of(levels, params.window, params.n)
+    if x is None:
+        raise DecodeFailure(invalid)
+    if _checksum([s % 2 for s in levels[: params.n]], params.n) != params.residue:
         raise DecodeFailure("the read vector's word is not a codeword")
-    return recover_from_mod2(prefix, params.window)
+    return x
 
 
 def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     """Recover the transmitted codeword from an intact or once-deleted read.
 
-    Full-length inputs are validated and inverted directly.  Shortened
-    inputs first try gap repair; failing that, the first n-1 entries mod
-    2 are decoded against the checksum and the word is rebuilt from the
+    Full-length inputs are inverted directly.  Shortened inputs first
+    try gap repair; failing that, the first n-1 entries mod 2 are
+    decoded against the checksum and the word is rebuilt from the
     recovered prefix.  The result is a codeword whose read vector is the
     input or one deletion of it; when no codeword is, ``DecodeFailure``
     or ``MalformedInputError`` is raised.
@@ -199,9 +204,10 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     full = n + window - 1
 
     if len(candidate) == full:
-        if not is_valid_read_vector(candidate, window, n):
-            raise DecodeFailure("full-length input is not a legitimate read vector")
-        return DecodeOutcome(word=_codeword(candidate, params), path="no-deletion")
+        x = _codeword(
+            candidate, params, "full-length input is not a legitimate read vector"
+        )
+        return DecodeOutcome(word=x, path="no-deletion")
 
     if len(candidate) != full - 1:
         raise ValueError(
@@ -210,11 +216,12 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
 
     repaired = immediate_correct(candidate)
     if repaired is not None:
-        if not is_valid_read_vector(repaired, window, n):
-            raise DecodeFailure("gap repair did not yield a legitimate read vector")
-        return DecodeOutcome(word=_codeword(repaired, params), path="immediate")
+        x = _codeword(
+            repaired, params, "gap repair did not yield a legitimate read vector"
+        )
+        return DecodeOutcome(word=x, path="immediate")
 
-    prefix = vt_insert([s % 2 for s in candidate[: n - 1]], params.residue, n)
+    prefix = _vt_insert(tuple([s % 2 for s in candidate[: n - 1]]), params.residue, n)
     x = recover_from_mod2(prefix, window)
     if not _is_one_deletion(candidate, read_vector(x, window)):
         raise DecodeFailure("recovered word is inconsistent with the received read")

@@ -8,6 +8,8 @@ n + window - 1 over the alphabet {0, ..., window}.
 
 from __future__ import annotations
 
+from itertools import accumulate, product
+from operator import sub
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -25,11 +27,14 @@ class ResourceLimitError(RuntimeError):
 
 
 def all_words(n: int) -> Iterator[Word]:
-    """All binary words of length n in lexicographic order."""
+    """All binary words of length n in lexicographic order.
+
+    The size guard is checked when this is called, not when the first
+    word is drawn.
+    """
     if n > MAX_ENUM_N:
         raise ResourceLimitError(f"word enumeration guarded at n <= {MAX_ENUM_N}")
-    for v in range(1 << n):
-        yield tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+    return product((0, 1), repeat=n)
 
 
 def weight(x: Sequence[int]) -> int:
@@ -48,19 +53,16 @@ def read_vector(x: Sequence[int], window: int) -> Levels:
 
     Entry i (1-based) is the weight of x[i-window+1 .. i], out-of-range
     positions reading as 0.  Output length is len(x) + window - 1.
+    Computed as the running sum of x_i - x_{i-window}.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    n = len(x)
-    out = []
-    acc = 0
-    for i in range(n + window - 1):
-        if i < n:
-            acc += x[i]
-        if i - window >= 0:
-            acc -= x[i - window]
-        out.append(acc)
-    return tuple(out)
+    x = tuple(x)
+    steps = map(sub, x + (0,) * (window - 1), (0,) * window + x)
+    # a list first, so that the tuple is allocated at its final size: one
+    # grown from the iterator is reallocated on the way, which fragmented
+    # the heap and raised the exhaustive oracles' peak memory
+    return tuple(list(accumulate(steps)))
 
 
 def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
@@ -72,24 +74,47 @@ def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    n = len(prefix)
-    x = [0] * n
+    x = [0] * window  # bits before the word read as 0
     prev = 0
-    for i in range(n):
-        back = x[i - window] if i - window >= 0 else 0
-        x[i] = (prefix[i] - prev + back) % 2
-        prev = prefix[i]
-    return tuple(x)
+    for s in prefix:
+        x.append((s - prev + x[-window]) % 2)
+        prev = s
+    return tuple(x[window:])
+
+
+def _word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
+    """The binary word of length n whose read vector is levels, or None.
+
+    levels must have length n + window - 1.  Consecutive entries give
+    x_i = c_i - c_{i-1} + x_{i-window}: the first n of these must be
+    bits, and the window - 1 past the end of the word must be 0.  Then,
+    and only then, the running window sums of x reproduce levels.
+    """
+    x = [0] * window  # x[i] holds bit i - window; bits before the word are 0
+    prev = 0
+    for s in levels[:n]:
+        bit = s - prev + x[-window]
+        if bit != 0 and bit != 1:
+            return None
+        x.append(bit)
+        prev = s
+    for i in range(n, len(levels)):
+        if levels[i] - prev + x[i]:
+            return None
+        prev = levels[i]
+    return tuple(x[window:])
+
+
+def _is_one_deletion(short: tuple[int, ...], full: tuple[int, ...]) -> bool:
+    """Whether deleting one entry of full leaves short, in one scan."""
+    i = 0
+    while i < len(short) and short[i] == full[i]:
+        i += 1
+    return short[i:] == full[i + 1 :]
 
 
 def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:
-    """True iff some binary word of length n has this read vector.
-
-    One pass: the word is recovered from the mod-2 prefix (as in
-    ``recover_from_mod2``) while it is re-transformed (as in
-    ``read_vector``), and the candidate is legitimate exactly when every
-    entry of the round trip reproduces it.  Stops at the first mismatch.
-    """
+    """True iff some binary word of length n has this read vector."""
     if window < 1:
         raise ValueError("window must be >= 1")
     if n < 0:
@@ -98,19 +123,7 @@ def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:
         raise LengthMismatchError(
             f"candidate length {len(levels)} != n + window - 1 = {n + window - 1}"
         )
-    x = []
-    acc = prev = 0
-    for i, s in enumerate(levels):
-        back = x[i - window] if i >= window else 0
-        if i < n:
-            bit = (s - prev + back) % 2
-            x.append(bit)
-            acc += bit
-            prev = s
-        acc -= back
-        if s != acc:
-            return False
-    return True
+    return _word_of(levels, window, n) is not None
 
 
 # --- serialization -----------------------------------------------------

@@ -19,7 +19,14 @@ from .balls import (
     sticky_ball,
     sticky_read_images,
 )
-from .code import CodeParams, DecodeFailure, decode, enumerate_code, syndrome
+from .code import (
+    CodeParams,
+    DecodeFailure,
+    MalformedInputError,
+    decode,
+    enumerate_code,
+    syndrome,
+)
 from .core import (
     ResourceLimitError,
     Word,
@@ -27,7 +34,7 @@ from .core import (
     is_valid_read_vector,
     read_vector,
 )
-from .reconstruct import reconstruct_two
+from .reconstruct import InconsistentReadsError, reconstruct_two
 
 MAX_EXACT_MIS_N = 8
 
@@ -38,6 +45,11 @@ class CheckResult:
     checked: int
     detail: dict = field(default_factory=dict)
     counterexample: dict | None = None
+
+
+def _error(exc: Exception) -> str:
+    """A per-instance exception as a counterexample field."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
@@ -332,8 +344,9 @@ def verify_decoder(n: int, window: int) -> CheckResult:
             rv = read_vector(x, window)
             for cand in deletion_ball(rv):
                 checked += 1
-                outcome = decode(cand, p)
-                if outcome.word != x:
+                try:
+                    decoded = decode(cand, p).word
+                except (DecodeFailure, MalformedInputError) as exc:
                     return CheckResult(
                         ok=False,
                         checked=checked,
@@ -341,7 +354,18 @@ def verify_decoder(n: int, window: int) -> CheckResult:
                             "word": x,
                             "residue": p.residue,
                             "received": cand,
-                            "decoded": outcome.word,
+                            "error": _error(exc),
+                        },
+                    )
+                if decoded != x:
+                    return CheckResult(
+                        ok=False,
+                        checked=checked,
+                        counterexample={
+                            "word": x,
+                            "residue": p.residue,
+                            "received": cand,
+                            "decoded": decoded,
                         },
                     )
     return CheckResult(ok=True, checked=checked)
@@ -363,7 +387,18 @@ def verify_reconstruction(n: int, window: int) -> CheckResult:
             continue
         for r1, r2 in combinations(ball, 2):
             checked += 1
-            got = reconstruct_two(r1, r2, window, n)
+            try:
+                got = reconstruct_two(r1, r2, window, n)
+            except InconsistentReadsError as exc:
+                return CheckResult(
+                    ok=False,
+                    checked=checked,
+                    counterexample={
+                        "word": x,
+                        "reads": (r1, r2),
+                        "error": _error(exc),
+                    },
+                )
             if got != rv:
                 return CheckResult(
                     ok=False,

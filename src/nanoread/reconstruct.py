@@ -2,33 +2,45 @@
 
 Given two distinct single-deletion corruptions of the same read vector
 (window >= 2), the original is pinned down by re-inserting the missing
-symbol at the first or last disagreement and keeping the candidate that
-is a legitimate read vector; exactly one of them is.
+symbol at the first or last disagreement: one of the two candidates is
+the source.  Two distinct read vectors share at most one single-deletion
+result, so at most one candidate is a legitimate read vector holding
+both reads, and the first one that does is the answer.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import LengthMismatchError, is_valid_read_vector
+from .core import LengthMismatchError, _is_one_deletion, _word_of
 
 
 class BothCandidatesValidError(RuntimeError):
-    """Both re-insertions were legitimate; inputs cannot share one source."""
+    """Both re-insertions were legitimate; inputs cannot share one source.
+
+    No longer raised: at most one candidate can hold both reads.  Kept
+    so that handlers naming it still work.
+    """
 
 
 class InconsistentReadsError(ValueError):
-    """Neither re-insertion is legitimate; the reads have no common source."""
+    """No legitimate read vector holds both reads in its deletion ball."""
 
 
 def disagreement_span(u: Sequence[int], v: Sequence[int]) -> tuple[int, int]:
     """First and last 1-based indices where u and v differ."""
     if len(u) != len(v):
         raise LengthMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    diffs = [i for i in range(len(u)) if u[i] != v[i]]
-    if not diffs:
+    m = len(u)
+    i = 0
+    while i < m and u[i] == v[i]:
+        i += 1
+    if i == m:
         raise ValueError("sequences are identical")
-    return diffs[0] + 1, diffs[-1] + 1
+    j = m - 1
+    while u[j] == v[j]:
+        j -= 1
+    return i + 1, j + 1
 
 
 def reconstruct_two(
@@ -37,8 +49,12 @@ def reconstruct_two(
     """Rebuild the read vector both noisy copies were deleted from.
 
     Both inputs must have length n + window - 2 and be distinct.  The
-    two candidates are formed by inserting second's symbol at the first
-    disagreement and after the last one; validity arbitrates.
+    candidates insert second's symbol at the first disagreement (head)
+    and after the last one (tail); deleting that symbol again leaves
+    first.  The head, else the tail, is returned when it is a
+    legitimate read vector and deleting one of its entries leaves
+    second.  When neither is, no legitimate read vector holds both
+    reads and ``InconsistentReadsError`` is raised.
     """
     if window < 2:
         raise ValueError("two-read reconstruction requires window >= 2")
@@ -53,21 +69,9 @@ def reconstruct_two(
 
     i, j = disagreement_span(r1, r2)
     head = r1[: i - 1] + (r2[i - 1],) + r1[i - 1 :]
-    tail = r1[:j] + (r2[j - 1],) + r1[j:]
-
-    if head == tail:
-        if is_valid_read_vector(head, window, n):
-            return head
-        raise InconsistentReadsError("no legitimate read vector explains both reads")
-
-    head_ok = is_valid_read_vector(head, window, n)
-    tail_ok = is_valid_read_vector(tail, window, n)
-    if head_ok and tail_ok:
-        raise BothCandidatesValidError(
-            "both candidates are legitimate read vectors"
-        )
-    if head_ok:
+    if _word_of(head, window, n) is not None and _is_one_deletion(r2, head):
         return head
-    if tail_ok:
+    tail = r1[:j] + (r2[j - 1],) + r1[j:]
+    if _word_of(tail, window, n) is not None and _is_one_deletion(r2, tail):
         return tail
-    raise InconsistentReadsError("no legitimate read vector explains both reads")
+    raise InconsistentReadsError("no legitimate read vector holds both reads")

@@ -97,6 +97,22 @@ class TestRoundtrip:
         assert out == ""
         assert "--trials" in err
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.5", "nan"])
+    def test_probability_out_of_range_is_usage_error(self, capsys, p):
+        code, out, err = run(
+            capsys, "roundtrip", "--n", "6", "--l", "2", "--trials", "3", "--p", p
+        )
+        assert code == 2
+        assert out == ""
+        assert "--p" in err
+
+    def test_probability_one_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "roundtrip", "--n", "6", "--l", "2", "--trials", "3", "--p", "1"
+        )
+        assert code == 0
+        assert json.loads(out)["out_of_model"] == 3
+
 
 class TestReconstructCmd:
     def test_success_and_determinism(self, capsys):
@@ -124,6 +140,17 @@ class TestReconstructCmd:
         assert code == 2
         assert out == ""
         assert "--trials" in err
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_only_singleton_skips_is_usage_error(self, capsys, n):
+        # every read vector of a word this short has a one-element
+        # deletion ball, so no pair of reads is ever checked
+        code, out, err = run(
+            capsys, "reconstruct", "--n", n, "--l", "2", "--trials", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "5 trials were singleton skips" in err
 
 
 class TestVerify:

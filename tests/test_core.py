@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nanoread.core import (
+    MAX_ENUM_N,
     LengthMismatchError,
+    ResourceLimitError,
     format_levels,
     format_word,
     hamming_distance,
@@ -16,13 +18,34 @@ from nanoread.core import (
     recover_from_mod2,
     weight,
 )
+from nanoread.core import all_words as core_all_words
 
 words = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(tuple)
+long_words = st.lists(st.integers(0, 1), min_size=0, max_size=2048).map(tuple)
 
 
 def all_words(n):
+    """Bit-shift enumeration, the reference order for ``core_all_words``."""
     for v in range(1 << n):
         yield tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def window_sums(x, w):
+    """Entry i (0-based) is the weight of x[i-w+1 .. i], zeros outside."""
+    return tuple(
+        sum(x[j] for j in range(max(0, i - w + 1), min(i + 1, len(x))))
+        for i in range(len(x) + w - 1)
+    )
+
+
+class TestAllWords:
+    def test_bit_shift_order(self):
+        for n in range(13):
+            assert list(core_all_words(n)) == list(all_words(n))
+
+    def test_guard_raises_when_called(self):
+        with pytest.raises(ResourceLimitError):
+            core_all_words(MAX_ENUM_N + 1)
 
 
 class TestReadVector:
@@ -45,6 +68,16 @@ class TestReadVector:
         with pytest.raises(ValueError):
             read_vector((1, 0), 0)
 
+    def test_window_sums_exhaustive(self):
+        for w in range(1, 6):
+            for n in range(13):
+                for x in all_words(n):
+                    assert read_vector(x, w) == window_sums(x, w), (x, w)
+
+    @given(long_words, st.integers(1, 6))
+    def test_window_sums_long(self, x, w):
+        assert read_vector(list(x), w) == window_sums(x, w)
+
     @given(words, st.integers(1, 6))
     def test_sum_is_window_times_weight(self, x, w):
         assert sum(read_vector(x, w)) == w * weight(x)
@@ -65,10 +98,17 @@ class TestRecoverFromMod2:
     def test_window_one_identity(self):
         assert recover_from_mod2((1, 0), 1) == (1, 0)
 
-    @given(words, st.integers(1, 6))
+    @given(long_words, st.integers(1, 6))
     def test_round_trip(self, x, w):
         prefix = [s % 2 for s in read_vector(x, w)[: len(x)]]
         assert recover_from_mod2(prefix, w) == x
+
+    def test_round_trip_exhaustive(self):
+        for w in range(1, 6):
+            for n in range(13):
+                for x in all_words(n):
+                    prefix = [s % 2 for s in read_vector(x, w)[:n]]
+                    assert recover_from_mod2(prefix, w) == x, (x, w)
 
     def test_injective_small(self):
         for w in (1, 2, 3, 4):

@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from nanoread import oracle
 from nanoread.balls import sticky_ball
 from nanoread.bounds import weighted_sum
-from nanoread.code import CodeParams
+from nanoread.code import CodeParams, DecodeFailure, MalformedInputError
 from nanoread.oracle import (
     ResourceLimitError,
     all_words,
@@ -123,6 +124,36 @@ class TestDecoderAndReconstruction:
     def test_validity_image(self):
         assert verify_validity_image(6, 3).ok
         assert verify_validity_image(5, 2).ok
+
+    @pytest.mark.parametrize("error", [DecodeFailure, MalformedInputError])
+    def test_decoder_reports_a_raising_decode(self, monkeypatch, error):
+        def decode(received, params):
+            raise error("refused")
+
+        monkeypatch.setattr(oracle, "decode", decode)
+        res = verify_decoder(5, 2)
+        assert not res.ok
+        assert res.checked == 1
+        assert res.counterexample == {
+            "word": (0, 0, 0, 0, 0),
+            "residue": 0,
+            "received": (0, 0, 0, 0, 0),
+            "error": f"{error.__name__}: refused",
+        }
+
+    def test_reconstruction_reports_a_raising_reconstruct(self, monkeypatch):
+        def reconstruct_two(first, second, window, n):
+            raise oracle.InconsistentReadsError("refused")
+
+        monkeypatch.setattr(oracle, "reconstruct_two", reconstruct_two)
+        res = verify_reconstruction(4, 2)
+        assert not res.ok
+        assert res.checked == 1
+        assert res.counterexample == {
+            "word": (0, 0, 0, 1),
+            "reads": ((0, 0, 0, 1), (0, 0, 1, 1)),
+            "error": "InconsistentReadsError: refused",
+        }
 
     def test_validity_image_guard(self):
         with pytest.raises(ResourceLimitError):

@@ -1,6 +1,8 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nanoread.balls import deletion_ball
 from nanoread.core import LengthMismatchError, is_valid_read_vector, read_vector
@@ -10,6 +12,18 @@ from nanoread.reconstruct import (
     disagreement_span,
     reconstruct_two,
 )
+
+
+def holders(r1, r2, w, n):
+    """Every legitimate read vector whose deletion ball holds both reads,
+    found by inserting each symbol 0..w at each position of r1."""
+    out = set()
+    for pos in range(len(r1) + 1):
+        for s in range(w + 1):
+            v = r1[:pos] + (s,) + r1[pos:]
+            if is_valid_read_vector(v, w, n) and r2 in deletion_ball(v):
+                out.add(v)
+    return out
 
 
 class TestDisagreementSpan:
@@ -77,3 +91,69 @@ class TestReconstructTwo:
                             if is_valid_read_vector(cand, w, n)
                         }
                         assert len(valid) == 1
+
+    def test_contract_on_arbitrary_pairs(self):
+        # every ordered pair of distinct sequences over -1..w+1: either a
+        # legitimate vector whose ball holds both reads, or
+        # InconsistentReadsError exactly when no read vector holds both
+        for w, max_n in ((2, 4), (3, 3)):
+            for n in range(1, max_n + 1):
+                image = {read_vector(x, w) for x in all_words(n)}
+                both = {
+                    (r1, r2)
+                    for rv in image
+                    for r1 in deletion_ball(rv)
+                    for r2 in deletion_ball(rv)
+                    if r1 != r2
+                }
+                seqs = list(product(range(-1, w + 2), repeat=n + w - 2))
+                for r1 in seqs:
+                    for r2 in seqs:
+                        if r1 == r2:
+                            continue
+                        try:
+                            got = reconstruct_two(r1, r2, w, n)
+                        except InconsistentReadsError:
+                            assert (r1, r2) not in both, (r1, r2, w, n)
+                        else:
+                            assert got in image, (r1, r2, w, n)
+                            assert {r1, r2} <= deletion_ball(got), (r1, r2, w, n)
+
+    @given(
+        st.lists(st.integers(0, 1), min_size=2, max_size=64).map(tuple),
+        st.integers(2, 4),
+        st.data(),
+    )
+    def test_contract_near_read_vectors(self, x, w, data):
+        # two deletions of a read vector, one entry perhaps overwritten
+        n = len(x)
+        rv = read_vector(x, w)
+        i, j = data.draw(st.lists(st.integers(0, len(rv) - 1), min_size=2, max_size=2))
+        r1 = rv[:i] + rv[i + 1 :]
+        r2 = list(rv[:j] + rv[j + 1 :])
+        if data.draw(st.booleans()):
+            r2[data.draw(st.integers(0, len(r2) - 1))] = data.draw(st.integers(-1, w + 1))
+        r2 = tuple(r2)
+        if r1 == r2:
+            return
+        found = holders(r1, r2, w, n)
+        try:
+            got = reconstruct_two(r1, r2, w, n)
+        except InconsistentReadsError:
+            assert not found
+        else:
+            assert found == {got}
+
+
+def test_error_classes_exported():
+    import nanoread
+    from nanoread import code, reconstruct
+
+    assert nanoread.MalformedInputError is code.MalformedInputError
+    assert nanoread.InconsistentReadsError is reconstruct.InconsistentReadsError
+    assert nanoread.BothCandidatesValidError is reconstruct.BothCandidatesValidError
+    assert {
+        "MalformedInputError",
+        "InconsistentReadsError",
+        "BothCandidatesValidError",
+    } <= set(nanoread.__all__)
