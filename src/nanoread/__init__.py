@@ -42,7 +42,6 @@ from .core import (
     weight,
 )
 from .reconstruct import (
-    BothCandidatesValidError,
     InconsistentReadsError,
     disagreement_span,
     reconstruct_two,
@@ -51,7 +50,6 @@ from .reconstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BothCandidatesValidError",
     "BoundReport",
     "CodeParams",
     "DecodeFailure",

@@ -2,8 +2,10 @@
 
 Machine-readable output (JSON lines, or CSV for tables) goes to stdout;
 human-readable summaries go to stderr.  Exit status: 0 when everything
-is consistent, 1 when a check or trial found a violation, 2 on usage
-errors.
+is consistent, 1 when a check or trial found a violation, 2 on usage or
+input errors.  Commands raise every such error; ``main`` alone turns it
+into exit 2 with ``error: ...`` on stderr.  ``verify`` looks its check
+up in ``VERIFY_CHECKS``.
 
 Randomness comes from Python's Mersenne Twister; each trial uses the
 sub-seed ``seed * 1_000_003 + trial`` so reports are reproducible and
@@ -51,7 +53,7 @@ def _read_words(args) -> list[core.Word]:
                 try:
                     words.append(core.parse_word(line))
                 except ValueError as exc:
-                    raise SystemExit(f"{args.input}:{lineno}: {exc}")
+                    raise ValueError(f"{args.input}:{lineno}: {exc}")
     return words
 
 
@@ -78,18 +80,18 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 def cmd_roundtrip(args) -> int:
     if args.trials < 1:
-        _note(f"roundtrip: --trials {args.trials} runs no trial; need at least 1")
-        return 2
+        raise ValueError(
+            f"roundtrip: --trials {args.trials} runs no trial; need at least 1"
+        )
     if args.p is not None and not 0 <= args.p <= 1:
-        _note(f"roundtrip: --p {args.p} is not a probability; need 0 <= p <= 1")
-        return 2
+        raise ValueError(
+            f"roundtrip: --p {args.p} is not a probability; need 0 <= p <= 1"
+        )
     residue = args.a
     if residue is None:
         residue, _ = code.best_residue(args.n, args.l)
     params = code.CodeParams(n=args.n, window=args.l, residue=residue)
     codewords = code.enumerate_code(params)
-    if not codewords:
-        raise SystemExit("empty code; choose another residue")
     mode = "iid-deletion" if args.p is not None else "exactly-one-deletion"
 
     successes = failures = out_of_model = 0
@@ -108,7 +110,7 @@ def cmd_roundtrip(args) -> int:
             continue
         try:
             outcome = code.decode(received, params)
-        except (code.DecodeFailure, code.MalformedInputError, ValueError):
+        except ValueError:
             failures += 1
             continue
         if outcome.word == x:
@@ -143,10 +145,11 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     if args.trials < 1:
-        _note(f"reconstruct: --trials {args.trials} runs no trial; need at least 1")
-        return 2
+        raise ValueError(
+            f"reconstruct: --trials {args.trials} runs no trial; need at least 1"
+        )
     if args.l < 2:
-        raise SystemExit("reconstruction requires --l >= 2")
+        raise ValueError("reconstruction requires --l >= 2")
     successes = failures = skipped = 0
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
@@ -167,11 +170,10 @@ def cmd_reconstruct(args) -> int:
         else:
             failures += 1
     if not successes + failures:
-        _note(
+        raise ValueError(
             f"reconstruct: all {skipped} trials were singleton skips; "
             "no pair of reads was checked"
         )
-        return 2
 
     record = {
         "command": "reconstruct",
@@ -190,7 +192,7 @@ def cmd_reconstruct(args) -> int:
     return 1 if failures else 0
 
 
-def _check_expected_runs(ns: list[int]) -> list[dict]:
+def _check_expected_runs(ns: list[int], ls: list[int], args) -> list[dict]:
     records = []
     for n in ns:
         for a in range(1, n + 1):
@@ -199,7 +201,7 @@ def _check_expected_runs(ns: list[int]) -> list[dict]:
             want = bounds.expected_runs(n, a)
             records.append(
                 {
-                    "check": "expected-runs",
+                    "check": args.check,
                     "n": n,
                     "a": a,
                     "status": "pass" if avg == want else "fail",
@@ -210,7 +212,8 @@ def _check_expected_runs(ns: list[int]) -> list[dict]:
     return records
 
 
-def _check_tail_bound(ns: list[int], a_values: list[int]) -> list[dict]:
+def _check_tail_bound(ns: list[int], ls: list[int], args) -> list[dict]:
+    a_values = ls if args.l else [1, 2, 3]
     records = []
     for n in ns:
         for a in a_values:
@@ -220,7 +223,7 @@ def _check_tail_bound(ns: list[int], a_values: list[int]) -> list[dict]:
             rhs = (1 << n) * math.exp(-n / 2 ** (2 * a + 1))
             records.append(
                 {
-                    "check": "tail-bound",
+                    "check": args.check,
                     "n": n,
                     "a": a,
                     "status": "pass" if count <= rhs + 1e-9 else "fail",
@@ -231,7 +234,7 @@ def _check_tail_bound(ns: list[int], a_values: list[int]) -> list[dict]:
     return records
 
 
-def _check_sticky_size(ns: list[int]) -> list[dict]:
+def _check_sticky_size(ns: list[int], ls: list[int], args) -> list[dict]:
     records = []
     for n in ns:
         bad = None
@@ -244,7 +247,7 @@ def _check_sticky_size(ns: list[int]) -> list[dict]:
                 break
         records.append(
             {
-                "check": "sticky-size",
+                "check": args.check,
                 "n": n,
                 "status": "pass" if bad is None else "fail",
                 "counterexample": bad,
@@ -253,18 +256,18 @@ def _check_sticky_size(ns: list[int]) -> list[dict]:
     return records
 
 
-def _check_sphere_packing(ns: list[int], ls: list[int], exact_only: bool) -> list[dict]:
+def _check_sphere_packing(ns: list[int], ls: list[int], args) -> list[dict]:
     records = []
     for n in ns:
         for l in ls:
             res = oracle.exact_max_sticky_code(n, l)
-            if exact_only and not res.exact:
+            if args.exact_only and not res.exact:
                 continue
             ws = bounds.weighted_sum(n, l)
             ok = Fraction(res.packing_size) <= ws if res.exact else True
             records.append(
                 {
-                    "check": "sphere-packing",
+                    "check": args.check,
                     "n": n,
                     "l": l,
                     "status": "pass" if ok else "fail",
@@ -292,70 +295,55 @@ def _result_record(check: str, n: int, l: int, res: oracle.CheckResult) -> dict:
     return rec
 
 
+def _per_cell(verify, skip_short: bool = False):
+    """A check with one oracle record per (n, l) cell, skipping n < l
+    when ``skip_short``."""
+
+    def check(ns: list[int], ls: list[int], args) -> list[dict]:
+        return [
+            _result_record(args.check, n, l, verify(n, l))
+            for n in ns
+            for l in ls
+            if not (skip_short and n < l)
+        ]
+
+    return check
+
+
+def _check_code_property(ns: list[int], ls: list[int], args) -> list[dict]:
+    records = []
+    for n in ns:
+        for l in ls:
+            if n < l:
+                continue
+            for a in range(n + 1):
+                params = code.CodeParams(n=n, window=l, residue=a)
+                res = oracle.verify_code_property(params)
+                records.append({**_result_record(args.check, n, l, res), "a": a})
+    return records
+
+
+# check name -> (ns, ls, args) -> records, in the order ``--help`` lists them
+VERIFY_CHECKS = {
+    "ball-equivalence": _per_cell(oracle.verify_ball_equivalence),
+    "intersection": _per_cell(oracle.verify_intersection_bound),
+    "reconstruction": _per_cell(oracle.verify_reconstruction),
+    "decoder": _per_cell(oracle.verify_decoder, skip_short=True),
+    "code-property": _check_code_property,
+    "validity-image": _per_cell(oracle.verify_validity_image),
+    "expected-runs": _check_expected_runs,
+    "tail-bound": _check_tail_bound,
+    "sticky-size": _check_sticky_size,
+    "sphere-packing": _check_sphere_packing,
+}
+
+
 def cmd_verify(args) -> int:
     ns = _parse_range(args.n)
     ls = _parse_range(args.l) if args.l else [2]
-    records: list[dict] = []
-
-    if args.check == "ball-equivalence":
-        for n in ns:
-            for l in ls:
-                records.append(
-                    _result_record(args.check, n, l, oracle.verify_ball_equivalence(n, l))
-                )
-    elif args.check == "intersection":
-        for n in ns:
-            for l in ls:
-                records.append(
-                    _result_record(
-                        args.check, n, l, oracle.verify_intersection_bound(n, l)
-                    )
-                )
-    elif args.check == "reconstruction":
-        for n in ns:
-            for l in ls:
-                records.append(
-                    _result_record(args.check, n, l, oracle.verify_reconstruction(n, l))
-                )
-    elif args.check == "decoder":
-        for n in ns:
-            for l in ls:
-                if n < l:
-                    continue
-                records.append(
-                    _result_record(args.check, n, l, oracle.verify_decoder(n, l))
-                )
-    elif args.check == "code-property":
-        for n in ns:
-            for l in ls:
-                if n < l:
-                    continue
-                for a in range(n + 1):
-                    params = code.CodeParams(n=n, window=l, residue=a)
-                    res = oracle.verify_code_property(params)
-                    rec = _result_record(args.check, n, l, res)
-                    rec["a"] = a
-                    records.append(rec)
-    elif args.check == "validity-image":
-        for n in ns:
-            for l in ls:
-                records.append(
-                    _result_record(args.check, n, l, oracle.verify_validity_image(n, l))
-                )
-    elif args.check == "expected-runs":
-        records = _check_expected_runs(ns)
-    elif args.check == "tail-bound":
-        records = _check_tail_bound(ns, _parse_range(args.l) if args.l else [1, 2, 3])
-    elif args.check == "sticky-size":
-        records = _check_sticky_size(ns)
-    elif args.check == "sphere-packing":
-        records = _check_sphere_packing(ns, ls, args.exact_only)
-    else:
-        raise SystemExit(2)
-
+    records = VERIFY_CHECKS[args.check](ns, ls, args)
     if not records:
-        _note(f"verify {args.check}: no (n, l) in range produced a record")
-        return 2
+        raise ValueError(f"verify {args.check}: no (n, l) in range produced a record")
     failed = 0
     for rec in records:
         _emit(rec)
@@ -383,8 +371,7 @@ def cmd_bounds(args) -> int:
                 row["best_redundancy_bits"] = None
             rows.append(row)
     if not rows:
-        _note("bounds: empty --n or --l range")
-        return 2
+        raise ValueError("bounds: empty --n or --l range")
 
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
@@ -433,21 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run an exhaustive check")
-    p.add_argument(
-        "check",
-        choices=[
-            "ball-equivalence",
-            "intersection",
-            "reconstruction",
-            "decoder",
-            "code-property",
-            "validity-image",
-            "expected-runs",
-            "tail-bound",
-            "sticky-size",
-            "sphere-packing",
-        ],
-    )
+    p.add_argument("check", choices=list(VERIFY_CHECKS))
     p.add_argument("--n", required=True, help="n or range lo..hi")
     p.add_argument("--l", default=None, help="window or range lo..hi")
     p.add_argument("--exact-only", action="store_true")
@@ -466,9 +439,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OverflowError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
 

@@ -24,7 +24,7 @@ from .core import (
 )
 
 
-class DecodeFailure(Exception):
+class DecodeFailure(ValueError):
     """No codeword is consistent with the received sequence."""
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .balls import (
     deletion_ball,
@@ -130,19 +130,19 @@ def verify_intersection_bound(n: int, window: int) -> CheckResult:
     Builds an inverted index from deleted vectors to source words, so
     only colliding pairs are ever counted.
     """
+    words = list(all_words(n))
     buckets: dict[tuple, list[int]] = {}
-    for idx, x in enumerate(all_words(n)):
+    for idx, x in enumerate(words):
         for d in deletion_ball(read_vector(x, window)):
             buckets.setdefault(d, []).append(idx)
     overlap: dict[tuple[int, int], int] = {}
-    for members in buckets.values():
-        for a, b in combinations(members, 2):
+    while buckets:  # popped, so each key is freed as its pairs are counted
+        for a, b in combinations(buckets.popitem()[1], 2):
             overlap[(a, b)] = overlap.get((a, b), 0) + 1
     if not overlap:
         return CheckResult(ok=True, checked=1 << n, detail={"max_overlap": 0})
     (a, b), best = max(overlap.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
     limit = 2 if window == 1 else 1
-    words = {i: x for i, x in enumerate(all_words(n)) if i in (a, b)}
     return CheckResult(
         ok=best <= limit,
         checked=1 << n,
@@ -288,23 +288,6 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
     )
 
 
-def _pairwise_disjoint(
-    codewords: list[Word], ball: Callable[[Word], set]
-) -> CheckResult:
-    """Pairwise disjointness of the given error balls over a word set."""
-    balls = [ball(x) for x in codewords]
-    pairs = 0
-    for i, j in combinations(range(len(codewords)), 2):
-        pairs += 1
-        if balls[i] & balls[j]:
-            return CheckResult(
-                ok=False,
-                checked=pairs,
-                counterexample={"pair": (codewords[i], codewords[j])},
-            )
-    return CheckResult(ok=True, checked=pairs, detail={"codewords": len(codewords)})
-
-
 def verify_code_property(
     params: CodeParams, codewords: list[Word] | None = None
 ) -> CheckResult:
@@ -315,16 +298,17 @@ def verify_code_property(
     """
     if codewords is None:
         codewords = enumerate_code(params)
-    return _pairwise_disjoint(
-        codewords, lambda x: deletion_ball(read_vector(x, params.window))
-    )
-
-
-def verify_sticky_disjointness(params: CodeParams) -> CheckResult:
-    """Pairwise disjointness of in-run deletion balls over a code."""
-    return _pairwise_disjoint(
-        enumerate_code(params), lambda x: sticky_ball(x, params.window)
-    )
+    balls = [deletion_ball(read_vector(x, params.window)) for x in codewords]
+    pairs = 0
+    for i, j in combinations(range(len(codewords)), 2):
+        pairs += 1
+        if balls[i] & balls[j]:
+            return CheckResult(
+                ok=False,
+                checked=pairs,
+                counterexample={"pair": (codewords[i], codewords[j])},
+            )
+    return CheckResult(ok=True, checked=pairs, detail={"codewords": len(codewords)})
 
 
 def verify_decoder(n: int, window: int) -> CheckResult:

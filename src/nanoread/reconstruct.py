@@ -5,7 +5,8 @@ Given two distinct single-deletion corruptions of the same read vector
 symbol at the first or last disagreement: one of the two candidates is
 the source.  Two distinct read vectors share at most one single-deletion
 result, so at most one candidate is a legitimate read vector holding
-both reads, and the first one that does is the answer.
+both reads, and the first one that does is the answer.  When neither
+does, ``InconsistentReadsError`` (a ``ValueError``) is raised.
 """
 
 from __future__ import annotations
@@ -13,14 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import LengthMismatchError, _is_one_deletion, _word_of
-
-
-class BothCandidatesValidError(RuntimeError):
-    """Both re-insertions were legitimate; inputs cannot share one source.
-
-    No longer raised: at most one candidate can hold both reads.  Kept
-    so that handlers naming it still work.
-    """
 
 
 class InconsistentReadsError(ValueError):

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 import nanoread
+from nanoread import cli
 from nanoread.cli import main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -36,9 +39,18 @@ class TestTransform:
     def test_parse_error_reports_line(self, capsys, tmp_path):
         f = tmp_path / "words.txt"
         f.write_text("101\nxyz\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["transform", "--l", "2", "--input", str(f)])
-        assert "2" in str(exc.value)
+        code, out, err = run(capsys, "transform", "--l", "2", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert f"error: {f}:2: " in err
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run(capsys, "transform", "--l", "2", "--input", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "missing.txt" in err
 
 
 class TestEnumerate:
@@ -129,8 +141,10 @@ class TestReconstructCmd:
         assert out1 == out2
 
     def test_window_one_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["reconstruct", "--n", "6", "--l", "1"])
+        code, out, err = run(capsys, "reconstruct", "--n", "6", "--l", "1")
+        assert code == 2
+        assert out == ""
+        assert "error: reconstruction requires --l >= 2" in err
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_usage_error(self, capsys, trials):
@@ -196,6 +210,20 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("check", list(cli.VERIFY_CHECKS))
+    def test_every_check_passes_at_tiny_range(self, capsys, check):
+        extra = ["--exact-only"] if check == "sphere-packing" else []
+        code, out, _ = run(capsys, "verify", check, "--n", "3..4", "--l", "2", *extra)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records
+        assert all(r["check"] == check and r["status"] == "pass" for r in records)
+
+    def test_readme_lists_every_check(self):
+        text = " ".join(README.read_text().split())
+        listed = text.split("Verify checks: ", 1)[1].split(".", 1)[0]
+        assert [c.strip(" `") for c in listed.split(",")] == list(cli.VERIFY_CHECKS)
+
     def test_unknown_check_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "bogus", "--n", "4"])
@@ -244,6 +272,29 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--n", "4", "--l", "2")
         row = json.loads(out)
         assert row["lower_bound_bits"] is None
+
+
+ERRORS = [
+    obj
+    for obj in (getattr(nanoread, name) for name in nanoread.__all__)
+    if isinstance(obj, type) and issubclass(obj, Exception)
+]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: e.__name__)
+def test_every_library_error_exits_2(capsys, monkeypatch, error):
+    # one error family: every class is a ValueError except the size
+    # guard, and main maps each to exit 2 with nothing on stdout
+    assert issubclass(error, ValueError) or error is nanoread.ResourceLimitError
+
+    def cmd_transform(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_transform", cmd_transform)
+    code, out, err = run(capsys, "transform", "101", "--l", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: refused\n"
 
 
 def test_import_loads_only_stdlib():

@@ -6,7 +6,12 @@ import pytest
 from nanoread import oracle
 from nanoread.balls import sticky_ball
 from nanoread.bounds import weighted_sum
-from nanoread.code import CodeParams, DecodeFailure, MalformedInputError
+from nanoread.code import (
+    CodeParams,
+    DecodeFailure,
+    MalformedInputError,
+    enumerate_code,
+)
 from nanoread.oracle import (
     ResourceLimitError,
     all_words,
@@ -16,7 +21,6 @@ from nanoread.oracle import (
     verify_decoder,
     verify_intersection_bound,
     verify_reconstruction,
-    verify_sticky_disjointness,
     verify_validity_image,
 )
 
@@ -99,8 +103,11 @@ class TestMaxStickyCode:
 class TestCodeProperty:
     def test_all_residues(self):
         for a in range(7):
-            assert verify_code_property(CodeParams(6, 3, a)).ok
-            assert verify_sticky_disjointness(CodeParams(6, 3, a)).ok
+            params = CodeParams(6, 3, a)
+            assert verify_code_property(params).ok
+            # in-run (sticky) deletion balls are disjoint over the code too
+            balls = [sticky_ball(x, 3) for x in enumerate_code(params)]
+            assert all(not u & v for u, v in combinations(balls, 2))
 
     def test_full_space_fails(self):
         # the whole space is not a code; a colliding pair is reported

@@ -151,9 +151,4 @@ def test_error_classes_exported():
 
     assert nanoread.MalformedInputError is code.MalformedInputError
     assert nanoread.InconsistentReadsError is reconstruct.InconsistentReadsError
-    assert nanoread.BothCandidatesValidError is reconstruct.BothCandidatesValidError
-    assert {
-        "MalformedInputError",
-        "InconsistentReadsError",
-        "BothCandidatesValidError",
-    } <= set(nanoread.__all__)
+    assert {"MalformedInputError", "InconsistentReadsError"} <= set(nanoread.__all__)
