@@ -2,10 +2,11 @@
 
 All combinatorial quantities are exact integers or fractions, taken
 from the run histogram below, which counts words instead of listing
-them in O(n * a) whole-list steps; a bound report or packing chain
-builds its histogram once and takes every field from it.  Only the
-closed-form redundancy bound uses floating point, since it mixes logs
-and exp.
+them: a transfer-matrix count whose count vectors are each packed into
+one int of fixed-width slots, so each of its n - 1 steps is O(a) int
+additions and shifts.  A bound report or packing chain builds its
+histogram once and takes every field from it.  Only the closed-form
+redundancy bound uses floating point, since it mixes logs and exp.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
@@ -25,8 +25,13 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
     r.  Appending a bit either starts a new run (every state goes to
     length 1) or extends the last one (length c goes to c + 1, and the
     run is counted, a one-place shift of its vector, when it reaches a).
-    Each step is O(a) whole-list additions and shifts, so n steps cost
-    O(n * a) Python-level operations on lists of n // a + 1 counts.
+
+    Each count vector is packed into one int, entry r in the r-th slot
+    of ``8 * ((n + 8) // 8)`` bits.  A count never exceeds 2^n, which
+    fits in a slot, so no slot carries into the next: adding two vectors
+    is one int addition and counting one more run is one left shift by
+    a slot.  The n - 1 steps each take O(a) int operations, and the
+    packed result is unpacked once, through its bytes.
     """
     if a < 1:
         raise ValueError("run-length threshold must be >= 1")
@@ -35,25 +40,24 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
     if n == 0:
         return [1]
     size = n // a + 1
-    # by_run[c - 1][r]: words whose last run has capped length c; both
-    # one-bit words end in a run of length 1, counted when a == 1
-    by_run = [[0] * size for _ in range(a)]
-    by_run[0][int(a == 1)] = 2
+    slot_bytes = (n + 8) // 8
+    shift = 8 * slot_bytes
+    # by_run[c - 1]: packed vector of the words whose last run has
+    # capped length c; both one-bit words end in a run of length 1,
+    # counted when a == 1
+    by_run = [0] * a
+    by_run[0] = 2 << (shift if a == 1 else 0)
     for _ in range(n - 1):
-        nxt = [_add_all(by_run)] + by_run[:-1]
+        nxt = [sum(by_run)] + by_run[:-1]
         # the vector now in state a holds runs that just reached a (one
         # more run each) plus the runs already capped at a
-        nxt[-1] = list(map(add, [0] + nxt[-1][:-1], by_run[-1]))
+        nxt[-1] = (nxt[-1] << shift) + by_run[-1]
         by_run = nxt
-    return _add_all(by_run)
-
-
-def _add_all(vectors: list[list[int]]) -> list[int]:
-    """Entrywise sum of equal-length count vectors."""
-    total = vectors[0]
-    for counts in vectors[1:]:
-        total = list(map(add, total, counts))
-    return total
+    packed = sum(by_run).to_bytes(size * slot_bytes, "little")
+    return [
+        int.from_bytes(packed[i : i + slot_bytes], "little")
+        for i in range(0, len(packed), slot_bytes)
+    ]
 
 
 def redundancy_lower_bound(n: int, window: int) -> float:

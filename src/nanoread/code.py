@@ -9,8 +9,9 @@ insertion-correcting decoding of the truncated mod-2 prefix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -79,30 +80,78 @@ def residue_sizes(n: int, window: int) -> list[int]:
     read vector's mod-2 prefix, and x -> p is a bijection on length-n
     words (``recover_from_mod2`` inverts it).  So class a holds as many
     words as there are binary p with that checksum equal to a: the
-    Varshamov-Tenengolts class sizes, whatever the window.  They are
-    counted one position at a time: p_i = 1 adds i to the checksum, a
-    rotation of the count vector by i places, so each position is one
-    whole-list addition of n + 1 counts.
+    Varshamov-Tenengolts class sizes, whatever the window.  They have a
+    closed form (Ginzburg 1967; Sloane, arXiv math/0207197):
+
+        |VT_a(n)| = 1/(2(n+1)) * sum over odd d | n+1 of c_d(a) * 2^((n+1)/d)
+
+    with Ramanujan's sum c_d(a) = mu(d/g) * phi(d) / phi(d/g), g = gcd(d, a).
+    One factorisation of n+1 serves every residue.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    counts = [1] + [0] * n
-    for i in range(1, n + 1):
-        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
-    return counts
+    m = _modulus(n, window)
+    divisors = _odd_divisors(m)
+    terms = [(d, phi, 1 << (m // d)) for d, (phi, _) in divisors.items()]
+    sizes = []
+    for a in range(m):
+        total = 0
+        for d, phi, power in terms:
+            phi_q, mu_q = divisors[d // math.gcd(d, a)]
+            total += mu_q * (phi // phi_q) * power
+        sizes.append(total // (2 * m))
+    return sizes
 
 
 def best_residue(n: int, window: int) -> tuple[int, int]:
     """Residue with the largest code, ties broken by smallest residue.
 
-    The window does not matter: x -> p(x) is a bijection for every
-    window, so the class sizes are the Varshamov-Tenengolts sizes (see
-    ``residue_sizes``).  It stays a parameter so that callers name the
-    code they mean.
+    Class 0 is always a largest class (Sloane, arXiv math/0207197), so
+    the answer is residue 0 with the a = 0 term of the closed form in
+    ``residue_sizes``: sum of phi(d) * 2^((n+1)/d) over odd d | n+1,
+    divided by 2(n+1).  The window does not matter: x -> p(x) is a
+    bijection for every window.  It stays a parameter so that callers
+    name the code they mean.
     """
-    counts = residue_sizes(n, window)
-    size = max(counts)
-    return counts.index(size), size
+    m = _modulus(n, window)
+    total = sum(phi << (m // d) for d, (phi, _) in _odd_divisors(m).items())
+    return 0, total // (2 * m)
+
+
+def _modulus(n: int, window: int) -> int:
+    """The checksum modulus n + 1, after the class-size argument checks."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    return n + 1
+
+
+def _odd_divisors(m: int) -> dict[int, tuple[int, int]]:
+    """Every odd divisor d of m >= 1, mapped to (phi(d), mu(d)).
+
+    Built from one trial-division factorisation of m's odd part.
+    """
+    while m % 2 == 0:
+        m //= 2
+    divisors = {1: (1, 1)}
+    p = 3
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        if k:
+            grown = dict(divisors)
+            for d, (phi, mu) in divisors.items():
+                q, phi_q = d, phi * (p - 1)
+                for j in range(k):
+                    q *= p
+                    grown[q] = (phi_q, -mu if j == 0 else 0)
+                    phi_q *= p
+            divisors = grown
+        p += 2
+    return divisors
 
 
 def encode(message_index: int, params: CodeParams) -> Word:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .balls import (
@@ -37,6 +38,9 @@ from .core import (
 from .reconstruct import InconsistentReadsError, reconstruct_two
 
 MAX_EXACT_MIS_N = 8
+# at window 1 every word's in-run ball is its whole deletion ball and the
+# conflict graph is one dense component: exact search stops earlier
+MAX_EXACT_MIS_N_WINDOW_1 = 6
 
 
 @dataclass
@@ -60,6 +64,21 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
     for x in all_words(n):
         hist[rho_geq(x, a)] += 1
     return hist
+
+
+def residue_sizes(n: int, window: int) -> list[int]:
+    """Codeword count of every residue class, by the O(n^2) count of the
+    binary p with each checksum sum(i * p_i) mod n+1.
+
+    p_i = 1 adds i to the checksum, a rotation of the count vector by i
+    places, so each position is one whole-list addition of n + 1 counts.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    counts = [1] + [0] * n
+    for i in range(1, n + 1):
+        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
+    return counts
 
 
 def vt_insert_bruteforce(
@@ -262,8 +281,8 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
     deletion balls.
 
     The search runs over words whose ball is nonempty; the rest are
-    counted as free.  Exact branch and bound up to n <= 8; beyond that
-    the greedy result is a labeled lower bound.
+    counted as free.  Exact branch and bound up to n <= 8 (n <= 6 at
+    window 1); beyond that the greedy result is a labeled lower bound.
     """
     words = [x for x in all_words(n) if rho_geq(x, window) >= 1]
     free = (1 << n) - len(words)
@@ -273,7 +292,8 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
         if balls[i] & balls[j]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    if n <= MAX_EXACT_MIS_N:
+    limit = MAX_EXACT_MIS_N if window >= 2 else MAX_EXACT_MIS_N_WINDOW_1
+    if n <= limit:
         mask = _exact_independent_set(adj, len(words))
         exact = True
     else:

@@ -42,10 +42,21 @@ class TestRedundancyLowerBound:
 
 class TestRhoGeqHistogram:
     def test_matches_oracle(self):
-        # every word counted once, including a > n where only r = 0 occurs
-        for n in range(15):
-            for a in range(1, 6):
+        # every word counted once, including a > n where all 2^n words
+        # have r = 0; n = 8 and 16 are the first lengths of a wider slot
+        for n in range(17):
+            for a in (*range(1, 6), n + 1):
                 assert rho_geq_histogram(n, a) == oracle.rho_geq_histogram(n, a), (n, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 400), a=st.integers(1, 8))
+    def test_no_long_run_count(self, n, a):
+        # words without a run of length >= a: a first bit, then run
+        # lengths forming a composition of n into parts below a
+        compositions = [1] + [0] * n
+        for k in range(1, n + 1):
+            compositions[k] = sum(compositions[max(k - a + 1, 0) : k])
+        assert rho_geq_histogram(n, a)[0] == 2 * compositions[n]
 
     def test_exact_identities(self):
         for n in (64, 256):

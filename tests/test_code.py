@@ -21,6 +21,7 @@ from nanoread.code import (
     syndrome,
     vt_insert,
 )
+from nanoread import oracle
 from nanoread.core import read_vector
 from nanoread.oracle import all_words, vt_insert_bruteforce
 
@@ -77,6 +78,29 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_code(CodeParams(25, 2, 0))
+
+
+class TestClosedFormSizes:
+    def test_matches_oracle_dp(self):
+        # the closed form against the rotation-add DP, every residue
+        for n in range(256):
+            assert residue_sizes(n, 2) == oracle.residue_sizes(n, 2), n
+
+    def test_best_residue_is_dp_argmax(self):
+        # largest class, ties broken by the smallest residue
+        for n in range(256):
+            counts = oracle.residue_sizes(n, 1)
+            size = max(counts)
+            assert best_residue(n, 1) == (counts.index(size), size), n
+
+    def test_rejects_negative_length(self):
+        for f in (residue_sizes, best_residue):
+            with pytest.raises(ValueError):
+                f(-1, 1)
+            with pytest.raises(ValueError):
+                f(-5, 2)
+            with pytest.raises(ValueError):
+                f(4, 0)
 
 
 class TestEncode:

@@ -94,6 +94,15 @@ class TestMaxStickyCode:
         res = exact_max_sticky_code(9, 2)
         assert not res.exact
 
+    def test_window_one_exact_limit(self):
+        # window 1 conflicts form one dense component: exact search
+        # stops at n = 6, and n = 7 returns the labeled greedy result
+        assert exact_max_sticky_code(6, 1).exact
+        res = exact_max_sticky_code(7, 1)
+        assert not res.exact
+        balls = [sticky_ball(x, 1) for x in res.witness]
+        assert all(not u & v for u, v in combinations(balls, 2))
+
     def test_packing_bounded_by_weighted_sum(self):
         for n in range(2, 9):
             res = exact_max_sticky_code(n, 2)
