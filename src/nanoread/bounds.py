@@ -154,10 +154,8 @@ def packing_chain(n: int, window: int) -> tuple[Fraction, Fraction, float]:
     return ws, split, closed
 
 
-def _float_or_none(q: Fraction | None) -> float | None:
-    """float(q), or None when q is None or lies beyond the float range."""
-    if q is None:
-        return None
+def _float_or_none(q: Fraction) -> float | None:
+    """float(q), or None when q lies beyond the float range."""
     try:
         return float(q)
     except OverflowError:
@@ -169,7 +167,7 @@ class BoundReport:
     n: int
     window: int
     lower_bound_bits: float | None
-    weighted_sum: Fraction | None
+    weighted_sum: Fraction
     tail_count: int | None
     expected_runs: Fraction | None
 
@@ -178,9 +176,7 @@ class BoundReport:
             "n": self.n,
             "window": self.window,
             "lower_bound_bits": self.lower_bound_bits,
-            "weighted_sum": (
-                str(self.weighted_sum) if self.weighted_sum is not None else None
-            ),
+            "weighted_sum": str(self.weighted_sum),
             "weighted_sum_float": _float_or_none(self.weighted_sum),
             "tail_count": self.tail_count,
             "expected_runs": (

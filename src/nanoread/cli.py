@@ -295,16 +295,16 @@ def _result_record(check: str, n: int, l: int, res: oracle.CheckResult) -> dict:
     return rec
 
 
-def _per_cell(verify, skip_short: bool = False):
-    """A check with one oracle record per (n, l) cell, skipping n < l
-    when ``skip_short``."""
+def _per_cell(verify, skip=lambda n, l: False):
+    """A check with one oracle record per (n, l) cell, except the cells
+    where ``skip(n, l)`` holds."""
 
     def check(ns: list[int], ls: list[int], args) -> list[dict]:
         return [
             _result_record(args.check, n, l, verify(n, l))
             for n in ns
             for l in ls
-            if not (skip_short and n < l)
+            if not skip(n, l)
         ]
 
     return check
@@ -325,10 +325,12 @@ def _check_code_property(ns: list[int], ls: list[int], args) -> list[dict]:
 
 # check name -> (ns, ls, args) -> records, in the order ``--help`` lists them
 VERIFY_CHECKS = {
-    "ball-equivalence": _per_cell(oracle.verify_ball_equivalence),
+    "ball-equivalence": _per_cell(
+        oracle.verify_ball_equivalence, skip=lambda n, l: n < 1
+    ),
     "intersection": _per_cell(oracle.verify_intersection_bound),
     "reconstruction": _per_cell(oracle.verify_reconstruction),
-    "decoder": _per_cell(oracle.verify_decoder, skip_short=True),
+    "decoder": _per_cell(oracle.verify_decoder, skip=lambda n, l: n < l),
     "code-property": _check_code_property,
     "validity-image": _per_cell(oracle.verify_validity_image),
     "expected-runs": _check_expected_runs,
@@ -344,6 +346,10 @@ def cmd_verify(args) -> int:
     records = VERIFY_CHECKS[args.check](ns, ls, args)
     if not records:
         raise ValueError(f"verify {args.check}: no (n, l) in range produced a record")
+    if all(rec.get("checked") == 0 for rec in records):
+        raise ValueError(
+            f"verify {args.check}: all {len(records)} records checked 0 instances"
+        )
     failed = 0
     for rec in records:
         _emit(rec)

@@ -1,7 +1,8 @@
 """Exhaustive ground truth for the optimized operations and claims.
 
-Everything here favors directness over speed: full enumerations,
-quadratic scans, and an exact branch-and-bound independent-set search.
+Everything here favors directness over speed: full enumerations, one
+inverted index that finds which deletion balls meet, and one exact
+recursion for the largest independent set of a conflict graph.
 Enumeration order is lexicographic so counterexample witnesses are
 stable across runs.
 """
@@ -9,9 +10,9 @@ stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .balls import (
     deletion_ball,
@@ -128,7 +129,12 @@ def confusable_bruteforce(u: Sequence[int], v: Sequence[int]) -> bool:
 
 def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     """Compare the restricted ball of each read vector with the in-run
-    deletion image set, both directions, over all words of length n."""
+    deletion image set, both directions, over all words of length n.
+
+    The lemma is about deletions from a word, so n must be >= 1.
+    """
+    if n < 1:
+        raise ValueError("ball equivalence needs n >= 1")
     checked = 0
     for x in all_words(n):
         lhs = restricted_ball(read_vector(x, window), window)
@@ -143,21 +149,27 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     return CheckResult(ok=True, checked=checked)
 
 
-def verify_intersection_bound(n: int, window: int) -> CheckResult:
-    """Exact maximum pairwise deletion-ball overlap of read vectors.
+def _overlaps(balls: Iterable[set]) -> dict[tuple[int, int], int]:
+    """|balls[i] & balls[j]| for every pair i < j whose balls meet.
 
-    Builds an inverted index from deleted vectors to source words, so
-    only colliding pairs are ever counted.
+    An inverted index from ball elements to positions, so only colliding
+    pairs are ever counted; ``balls`` may be a generator.
     """
-    words = list(all_words(n))
     buckets: dict[tuple, list[int]] = {}
-    for idx, x in enumerate(words):
-        for d in deletion_ball(read_vector(x, window)):
-            buckets.setdefault(d, []).append(idx)
+    for i, ball in enumerate(balls):
+        for d in ball:
+            buckets.setdefault(d, []).append(i)
     overlap: dict[tuple[int, int], int] = {}
     while buckets:  # popped, so each key is freed as its pairs are counted
-        for a, b in combinations(buckets.popitem()[1], 2):
-            overlap[(a, b)] = overlap.get((a, b), 0) + 1
+        for pair in combinations(buckets.popitem()[1], 2):
+            overlap[pair] = overlap.get(pair, 0) + 1
+    return overlap
+
+
+def verify_intersection_bound(n: int, window: int) -> CheckResult:
+    """Exact maximum pairwise deletion-ball overlap of read vectors."""
+    words = list(all_words(n))
+    overlap = _overlaps(deletion_ball(read_vector(x, window)) for x in words)
     if not overlap:
         return CheckResult(ok=True, checked=1 << n, detail={"max_overlap": 0})
     (a, b), best = max(overlap.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
@@ -183,64 +195,19 @@ def _greedy_independent_set(adj: list[int], order: Sequence[int]) -> int:
     return chosen
 
 
-def _bnb_independent_set(adj: list[int], cand0: int) -> int:
-    """Branch and bound maximum independent set within one candidate
-    mask, returned as a bitmask."""
-    order = sorted(
-        (v for v in range(len(adj)) if cand0 >> v & 1),
-        key=lambda v: (adj[v] & cand0).bit_count(),
-    )
-    best = _greedy_independent_set(adj, order) & cand0
-    best_size = best.bit_count()
+def _max_independent_set(adj: list[int], cand: int) -> int:
+    """Exact maximum independent set within the candidate mask, as a
+    bitmask, solved per connected component.
 
-    def expand(cand: int, cur: int, cur_size: int) -> None:
-        nonlocal best, best_size
-        if cur_size + cand.bit_count() <= best_size:
-            return
-        if cand == 0:
-            best, best_size = cur, cur_size
-            return
-        # sweep once: absorb isolated candidates, pick the candidate of
-        # highest remaining degree to branch on
-        v, vdeg = -1, -1
-        m = cand
-        while m:
-            bit = m & -m
-            u = bit.bit_length() - 1
-            deg = (adj[u] & cand).bit_count()
-            if deg == 0:
-                cur |= bit
-                cur_size += 1
-                cand ^= bit
-            elif deg > vdeg:
-                v, vdeg = u, deg
-            m ^= bit
-        if v < 0:
-            if cur_size > best_size:
-                best, best_size = cur, cur_size
-            return
-        bit = 1 << v
-        expand(cand & ~(adj[v] | bit), cur | bit, cur_size + 1)
-        expand(cand & ~bit, cur, cur_size)
-
-    expand(cand0, 0, 0)
-    return best
-
-
-def _exact_independent_set(adj: list[int], n_vertices: int) -> int:
-    """Exact maximum independent set, solved per connected component.
-
-    The conflict graphs here are sparse with small components, so the
-    decomposition keeps each branch-and-bound search tiny.
+    A vertex of degree <= 1 in its component is always in some maximum
+    set, so it is taken without branching (an edgeless component is
+    taken whole this way); otherwise branch on the vertex of highest
+    degree: take it and drop its neighbours, or drop it.
     """
-    seen = 0
     result = 0
-    for v in range(n_vertices):
-        if seen >> v & 1:
-            continue
-        # flood-fill the component of v
-        comp = 1 << v
-        frontier = 1 << v
+    while cand:
+        # flood-fill the component of the lowest candidate
+        comp = frontier = cand & -cand
         while frontier:
             nxt = 0
             m = frontier
@@ -248,10 +215,30 @@ def _exact_independent_set(adj: list[int], n_vertices: int) -> int:
                 bit = m & -m
                 nxt |= adj[bit.bit_length() - 1]
                 m ^= bit
-            frontier = nxt & ~comp
+            frontier = nxt & cand & ~comp
             comp |= frontier
-        seen |= comp
-        result |= _bnb_independent_set(adj, comp)
+        cand ^= comp
+        v, vdeg = -1, -1
+        m = comp
+        while m:
+            bit = m & -m
+            u = bit.bit_length() - 1
+            deg = (adj[u] & comp).bit_count()
+            if deg <= 1:
+                v, vdeg = u, deg
+                break
+            if deg > vdeg:
+                v, vdeg = u, deg
+            m ^= bit
+        bit = 1 << v
+        rest = comp & ~(bit | adj[v])
+        if vdeg <= 1:
+            result |= bit
+            cand |= rest
+        else:
+            take = bit | _max_independent_set(adj, rest)
+            drop = _max_independent_set(adj, comp ^ bit)
+            result |= max(take, drop, key=int.bit_count)
     return result
 
 
@@ -281,20 +268,18 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
     deletion balls.
 
     The search runs over words whose ball is nonempty; the rest are
-    counted as free.  Exact branch and bound up to n <= 8 (n <= 6 at
-    window 1); beyond that the greedy result is a labeled lower bound.
+    counted as free.  Exact independent-set search up to n <= 8 (n <= 6
+    at window 1); beyond that the greedy result is a labeled lower bound.
     """
     words = [x for x in all_words(n) if rho_geq(x, window) >= 1]
     free = (1 << n) - len(words)
-    balls = [sticky_ball(x, window) for x in words]
     adj = [0] * len(words)
-    for i, j in combinations(range(len(words)), 2):
-        if balls[i] & balls[j]:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    for i, j in _overlaps(sticky_ball(x, window) for x in words):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     limit = MAX_EXACT_MIS_N if window >= 2 else MAX_EXACT_MIS_N_WINDOW_1
     if n <= limit:
-        mask = _exact_independent_set(adj, len(words))
+        mask = _max_independent_set(adj, (1 << len(words)) - 1)
         exact = True
     else:
         order = sorted(range(len(words)), key=lambda v: adj[v].bit_count())
@@ -314,21 +299,22 @@ def verify_code_property(
     """Pairwise disjointness of read-vector deletion balls over a code.
 
     Checks the enumerated code by default; pass codewords explicitly to
-    test an arbitrary word set against the same criterion.
+    test an arbitrary word set against the same criterion.  ``checked``
+    counts pairs in ``combinations`` order up to the first colliding one.
     """
     if codewords is None:
         codewords = enumerate_code(params)
-    balls = [deletion_ball(read_vector(x, params.window)) for x in codewords]
-    pairs = 0
-    for i, j in combinations(range(len(codewords)), 2):
-        pairs += 1
-        if balls[i] & balls[j]:
-            return CheckResult(
-                ok=False,
-                checked=pairs,
-                counterexample={"pair": (codewords[i], codewords[j])},
-            )
-    return CheckResult(ok=True, checked=pairs, detail={"codewords": len(codewords)})
+    k = len(codewords)
+    w = params.window
+    overlap = _overlaps(deletion_ball(read_vector(x, w)) for x in codewords)
+    if not overlap:
+        return CheckResult(ok=True, checked=k * (k - 1) // 2, detail={"codewords": k})
+    i, j = min(overlap)
+    return CheckResult(
+        ok=False,
+        checked=i * (2 * k - i - 1) // 2 + j - i,  # rank of (i, j) among the pairs
+        counterexample={"pair": (codewords[i], codewords[j])},
+    )
 
 
 def verify_decoder(n: int, window: int) -> CheckResult:
@@ -421,23 +407,11 @@ def verify_validity_image(n: int, window: int) -> CheckResult:
     if n + window - 1 > 12:
         raise ResourceLimitError("candidate enumeration guarded at n + window - 1 <= 12")
     image = {read_vector(x, window) for x in all_words(n)}
-    m = n + window - 1
     checked = 0
-
-    def rec(prefix: tuple[int, ...]) -> tuple | None:
-        nonlocal checked
-        if len(prefix) == m:
-            checked += 1
-            if is_valid_read_vector(prefix, window, n) != (prefix in image):
-                return prefix
-            return None
-        for s in range(window + 1):
-            bad = rec(prefix + (s,))
-            if bad is not None:
-                return bad
-        return None
-
-    bad = rec(())
-    if bad is not None:
-        return CheckResult(ok=False, checked=checked, counterexample={"candidate": bad})
+    for cand in product(range(window + 1), repeat=n + window - 1):
+        checked += 1
+        if is_valid_read_vector(cand, window, n) != (cand in image):
+            return CheckResult(
+                ok=False, checked=checked, counterexample={"candidate": cand}
+            )
     return CheckResult(ok=True, checked=checked, detail={"image_size": len(image)})

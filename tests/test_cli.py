@@ -203,6 +203,45 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("l", ["2", "3"])
+    def test_ball_equivalence_skips_empty_words(self, capsys, l):
+        # n = 0 cells are outside the lemma; alone they produce no record
+        code, out, err = run(
+            capsys, "verify", "ball-equivalence", "--n", "0", "--l", l
+        )
+        assert code == 2
+        assert out == ""
+        assert "no (n, l) in range produced a record" in err
+        code, out, _ = run(
+            capsys, "verify", "ball-equivalence", "--n", "0..2", "--l", l
+        )
+        assert code == 0
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("reconstruction", "--n", "1", "--l", "2"),
+            ("reconstruction", "--n", "0..1", "--l", "2"),
+            ("code-property", "--n", "1", "--l", "1"),
+        ],
+    )
+    def test_nothing_checked_is_usage_error(self, capsys, args):
+        # every word's ball is a singleton / every code has one word
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 2
+        assert out == ""
+        assert "checked 0 instances" in err
+
+    def test_some_record_checked_passes(self, capsys):
+        # the n = 1 record checks nothing, the n = 2 records do
+        code, out, _ = run(
+            capsys, "verify", "code-property", "--n", "1..2", "--l", "1"
+        )
+        assert code == 0
+        checked = [json.loads(line)["checked"] for line in out.splitlines()]
+        assert checked[0] == 0 and any(checked)
+
     def test_beyond_float_range_is_usage_error(self, capsys):
         # exact counts have no size limit, but the float bound 2^n e^(..)
         # overflows from n = 1024 on

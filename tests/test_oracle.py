@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nanoread import oracle
 from nanoread.balls import sticky_ball
@@ -25,9 +26,69 @@ from nanoread.oracle import (
 )
 
 
+def _graph(k: int, edge_mask: int) -> list[int]:
+    """Adjacency bitmasks of the k-vertex graph whose edges are the
+    vertex pairs, in combinations order, picked by the bits of edge_mask."""
+    adj = [0] * k
+    for bit, (u, v) in enumerate(combinations(range(k), 2)):
+        if edge_mask >> bit & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+@st.composite
+def graphs(draw):
+    k = draw(st.integers(1, 12))
+    return _graph(k, draw(st.integers(0, (1 << k * (k - 1) // 2) - 1)))
+
+
+def _brute_force_independent_set(adj: list[int]) -> int:
+    """Size of the largest independent set, over every vertex subset."""
+    return max(
+        mask.bit_count()
+        for mask in range(1 << len(adj))
+        if all(not adj[v] & mask for v in range(len(adj)) if mask >> v & 1)
+    )
+
+
+class TestMaxIndependentSet:
+    def _check(self, adj: list[int]) -> None:
+        mask = oracle._max_independent_set(adj, (1 << len(adj)) - 1)
+        assert all(not adj[v] & mask for v in range(len(adj)) if mask >> v & 1)
+        assert mask.bit_count() == _brute_force_independent_set(adj)
+
+    def test_every_graph_on_five_vertices(self):
+        for edge_mask in range(1 << 10):
+            self._check(_graph(5, edge_mask))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_random_graphs(self, adj):
+        self._check(adj)
+
+
+class TestOverlaps:
+    @given(st.lists(st.sets(st.integers(0, 6), max_size=5), max_size=8))
+    def test_matches_pairwise_intersection(self, balls):
+        want = {
+            (i, j): len(balls[i] & balls[j])
+            for i, j in combinations(range(len(balls)), 2)
+            if balls[i] & balls[j]
+        }
+        assert oracle._overlaps(iter(balls)) == want
+
+
 class TestBallEquivalence:
     def test_reference_case(self):
         assert verify_ball_equivalence(6, 3).ok
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_word_rejected(self, n):
+        # the lemma is about deletions from a word; at n = 0 the in-run
+        # images of the all-pad read vector are not deletions of anything
+        with pytest.raises(ValueError, match="n >= 1"):
+            verify_ball_equivalence(n, 2)
 
     def test_small_window(self):
         assert verify_ball_equivalence(4, 2).ok
@@ -62,6 +123,17 @@ class TestMaxStickyCode:
             assert res.exact
             assert res.packing_size == want
             assert res.free_words == 2  # the two alternating words
+
+    @pytest.mark.parametrize(
+        "window, sizes",
+        [(1, {1: 1, 2: 2, 3: 2, 4: 4, 5: 6, 6: 10}),
+         (3, {3: 2, 4: 6, 5: 14, 6: 30, 7: 60, 8: 118})],
+    )
+    def test_known_values(self, window, sizes):
+        for n, want in sizes.items():
+            res = exact_max_sticky_code(n, window)
+            assert res.exact
+            assert res.packing_size == want
 
     def test_witness_is_a_valid_code(self):
         res = exact_max_sticky_code(6, 2)
@@ -124,7 +196,9 @@ class TestCodeProperty:
             CodeParams(4, 2, 0), codewords=list(all_words(4))
         )
         assert not res.ok
-        assert res.counterexample is not None
+        # the first colliding pair in combinations order, and its rank
+        assert res.checked == 16
+        assert res.counterexample == {"pair": ((0, 0, 0, 1), (0, 0, 1, 0))}
 
 
 class TestDecoderAndReconstruction:
