@@ -291,7 +291,7 @@ def _result_record(check: str, n: int, l: int, res: oracle.CheckResult) -> dict:
     }
     rec.update({k: str(v) for k, v in res.detail.items()})
     if res.counterexample is not None:
-        rec["counterexample"] = str(res.counterexample)
+        rec["counterexample"] = res.counterexample
     return rec
 
 

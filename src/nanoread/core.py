@@ -4,12 +4,22 @@ A binary word x of length n passes under a window of length ``window``;
 at each shift the window's Hamming weight is emitted, with positions
 outside the word reading as 0.  The output ("read vector") has length
 n + window - 1 over the alphabet {0, ..., window}.
+
+The kernel works on sequences packed into one Python int, one
+fixed-width slot per position (one byte while window < 256, wider
+above, so that no window sum carries).  As polynomials the read vector
+is c(z) = x(z) * (1 + z + ... + z^(window-1)), so the transform is one
+multiplication by the window's all-ones number S, and a candidate is a
+read vector exactly when it divides by S with a quotient whose slots
+are bits.  ``oracle.word_of`` keeps the per-entry recurrence as ground
+truth.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
-from operator import sub
+import struct
+from functools import lru_cache
+from itertools import product
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -48,21 +58,76 @@ def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
 
 
+# bytes per slot -> struct code of that standard size ("<" byte order)
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BITS = b"\x00\x01"
+_NOT_BITS = "word entries must be bits (0 or 1)"
+
+
+@lru_cache(maxsize=64)
+def _window_slots(window: int) -> tuple[int, int]:
+    """(k, S) for a window: k bytes per packed slot and the all-ones S.
+
+    k is the narrowest of 1, 2, 4 and 8 bytes whose slot holds
+    ``window``, so that no window sum carries into the next slot: one
+    byte while window < 256.  S has a 1 in each of its first ``window``
+    slots; multiplying a packed word by S adds every window of it,
+    which is the read transform.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    k = next((k for k in _SLOT_FORMATS if window >> 8 * k == 0), None)
+    if k is None:
+        raise OverflowError(f"window {window} does not fit a packed slot")
+    return k, (1 << 8 * k * window) // ((1 << 8 * k) - 1)
+
+
+def _pack(entries: Sequence[int], k: int) -> int:
+    """Entry i in slot i, k bytes wide, of one int.
+
+    Raises ``ValueError``, ``TypeError`` or ``struct.error`` for an
+    entry that is not an int in [0, 256^k).
+    """
+    if k == 1:
+        return int.from_bytes(bytes(entries), "little")
+    code = _SLOT_FORMATS[k]
+    return int.from_bytes(struct.pack(f"<{len(entries)}{code}", *entries), "little")
+
+
+def _unpack(value: int, slots: int, k: int) -> tuple[int, ...]:
+    """The first ``slots`` slots of value, k bytes each: _pack's inverse."""
+    raw = value.to_bytes(k * slots, "little")
+    if k == 1:
+        return tuple(raw)
+    return struct.unpack(f"<{slots}{_SLOT_FORMATS[k]}", raw)
+
+
+def _bit_bytes(x: Sequence[int]) -> bytes:
+    """x as one byte per entry; ``ValueError`` unless every entry is 0 or 1."""
+    x = tuple(x)  # bytes() would read an int as a length, a buffer as raw bytes
+    try:
+        raw = bytes(x)
+    except (TypeError, ValueError) as exc:  # an entry outside range(256)
+        raise ValueError(_NOT_BITS) from exc
+    if raw.translate(None, _BITS):
+        raise ValueError(_NOT_BITS)
+    return raw
+
+
 def read_vector(x: Sequence[int], window: int) -> Levels:
     """Window-weight transform of a binary word.
 
     Entry i (1-based) is the weight of x[i-window+1 .. i], out-of-range
     positions reading as 0.  Output length is len(x) + window - 1.
-    Computed as the running sum of x_i - x_{i-window}.
+    Every entry of x must be 0 or 1; any other raises ``ValueError``.
+
+    As polynomials, c(z) = x(z) * (1 + z + ... + z^(window-1)): one
+    multiplication of the packed word by the window's all-ones number,
+    in slots wide enough that no window sum carries.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    x = tuple(x)
-    steps = map(sub, x + (0,) * (window - 1), (0,) * window + x)
-    # a list first, so that the tuple is allocated at its final size: one
-    # grown from the iterator is reallocated on the way, which fragmented
-    # the heap and raised the exhaustive oracles' peak memory
-    return tuple(list(accumulate(steps)))
+    k, ones = _window_slots(window)
+    raw = _bit_bytes(x)
+    return _unpack(_pack(raw, k) * ones, len(raw) + window - 1, k)
 
 
 def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
@@ -70,39 +135,51 @@ def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
 
     Given the first n entries of read_vector(x, window) taken mod 2,
     returns x via the recurrence
-    x[i] = (prefix[i] - prefix[i-1] + x[i-window]) mod 2.
+    x[i] = prefix[i] xor prefix[i-1] xor x[i-window].  Every entry of
+    prefix must be 0 or 1; any other raises ``ValueError``.
+
+    Packed one bit per byte, y = p xor (p shifted one slot), and x is
+    the xor of y shifted by every multiple of the window: log2(n /
+    window) doubling steps.  Xor never carries, so one byte serves
+    every window.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    x = [0] * window  # bits before the word read as 0
-    prev = 0
-    for s in prefix:
-        x.append((s - prev + x[-window]) % 2)
-        prev = s
-    return tuple(x[window:])
+    raw = _bit_bytes(prefix)
+    n = len(raw)
+    p = int.from_bytes(raw, "little")
+    x = p ^ (p << 8)
+    stride = window
+    while stride < n:
+        x ^= x << 8 * stride
+        stride *= 2
+    return tuple((x & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
 
 
 def _word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
     """The binary word of length n whose read vector is levels, or None.
 
-    levels must have length n + window - 1.  Consecutive entries give
-    x_i = c_i - c_{i-1} + x_{i-window}: the first n of these must be
-    bits, and the window - 1 past the end of the word must be 0.  Then,
-    and only then, the running window sums of x reproduce levels.
+    levels must have length n + window - 1.  Packed in the window's
+    slots as C, levels is a read vector exactly when C = Q * S for the
+    all-ones S and every slot of Q is a bit: the remainder of C by S is
+    0 and no byte of Q but the low byte of a slot is set, and those are
+    0 or 1.  Q then is the word.  C < 2^(8k(n+window-1)) and S >=
+    2^(8k(window-1)), so Q always fits in n slots.  An entry outside
+    [0, 256^k) cannot be a window sum and gives None.
     """
-    x = [0] * window  # x[i] holds bit i - window; bits before the word are 0
-    prev = 0
-    for s in levels[:n]:
-        bit = s - prev + x[-window]
-        if bit != 0 and bit != 1:
-            return None
-        x.append(bit)
-        prev = s
-    for i in range(n, len(levels)):
-        if levels[i] - prev + x[i]:
-            return None
-        prev = levels[i]
-    return tuple(x[window:])
+    k, ones = _window_slots(window)
+    try:
+        c = _pack(levels, k)
+    except (TypeError, ValueError, struct.error):
+        return None
+    q, r = divmod(c, ones)
+    if r:
+        return None
+    raw = q.to_bytes(n * k, "little")
+    low = raw[::k]  # raw itself when k == 1
+    if raw.translate(None, _BITS) or k > 1 and raw.count(1) != low.count(1):
+        return None
+    return tuple(low)
 
 
 def _is_one_deletion(short: tuple[int, ...], full: tuple[int, ...]) -> bool:

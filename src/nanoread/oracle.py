@@ -39,6 +39,8 @@ from .core import (
 from .reconstruct import InconsistentReadsError, reconstruct_two
 
 MAX_EXACT_MIS_N = 8
+# every window 1-3 cell that n + window - 1 <= 12 admits stays in
+MAX_VALIDITY_CANDIDATES = 4**12
 # at window 1 every word's in-run ball is its whole deletion ball and the
 # conflict graph is one dense component: exact search stops earlier
 MAX_EXACT_MIS_N_WINDOW_1 = 6
@@ -80,6 +82,29 @@ def residue_sizes(n: int, window: int) -> list[int]:
     for i in range(1, n + 1):
         counts = list(map(add, counts, counts[-i:] + counts[:-i]))
     return counts
+
+
+def word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
+    """The binary word of length n whose read vector is levels, or None,
+    by the per-entry recurrence x_i = c_i - c_{i-1} + x_{i-window}.
+
+    levels must have length n + window - 1.  The first n steps must
+    give bits, and the window - 1 entries past the end of the word must
+    step down by exactly the bit leaving the window.
+    """
+    x = [0] * window  # x[i] holds bit i - window; bits before the word are 0
+    prev = 0
+    for s in levels[:n]:
+        bit = s - prev + x[-window]
+        if bit != 0 and bit != 1:
+            return None
+        x.append(bit)
+        prev = s
+    for i in range(n, len(levels)):
+        if levels[i] - prev + x[i]:
+            return None
+        prev = levels[i]
+    return tuple(x[window:])
 
 
 def vt_insert_bruteforce(
@@ -402,10 +427,18 @@ def verify_validity_image(n: int, window: int) -> CheckResult:
     """The validity check accepts exactly the image of the transform.
 
     Enumerates every candidate over {0, ..., window} of the right
-    length; guarded to n + window - 1 <= 12.
+    length; guarded to n + window - 1 <= 12 and to at most
+    ``MAX_VALIDITY_CANDIDATES`` candidates.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     if n + window - 1 > 12:
         raise ResourceLimitError("candidate enumeration guarded at n + window - 1 <= 12")
+    if (window + 1) ** (n + window - 1) > MAX_VALIDITY_CANDIDATES:
+        raise ResourceLimitError(
+            "candidate enumeration guarded at (window + 1)^(n + window - 1)"
+            f" <= {MAX_VALIDITY_CANDIDATES}"
+        )
     image = {read_vector(x, window) for x in all_words(n)}
     checked = 0
     for cand in product(range(window + 1), repeat=n + window - 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import LengthMismatchError, _is_one_deletion, _word_of
+from .core import LengthMismatchError, _word_of
 
 
 class InconsistentReadsError(ValueError):
@@ -42,12 +42,15 @@ def reconstruct_two(
     """Rebuild the read vector both noisy copies were deleted from.
 
     Both inputs must have length n + window - 2 and be distinct.  The
-    candidates insert second's symbol at the first disagreement (head)
-    and after the last one (tail); deleting that symbol again leaves
-    first.  The head, else the tail, is returned when it is a
-    legitimate read vector and deleting one of its entries leaves
-    second.  When neither is, no legitimate read vector holds both
-    reads and ``InconsistentReadsError`` is raised.
+    candidates insert second's symbol at the first disagreement i0
+    (head) and after the last one j0 (tail); deleting that symbol again
+    leaves first.  The head holds second too exactly when
+    ``second[i0+1:j0+1] == first[i0:j0]``, the tail exactly when
+    ``second[i0:j0] == first[i0+1:j0+1]``: one slice comparison each,
+    made before the candidate is built.  The head, else the tail, is
+    returned when it holds second and is a legitimate read vector.
+    When neither is, no legitimate read vector holds both reads and
+    ``InconsistentReadsError`` is raised.
     """
     if window < 2:
         raise ValueError("two-read reconstruction requires window >= 2")
@@ -61,10 +64,13 @@ def reconstruct_two(
         raise ValueError("reads must be distinct")
 
     i, j = disagreement_span(r1, r2)
-    head = r1[: i - 1] + (r2[i - 1],) + r1[i - 1 :]
-    if _word_of(head, window, n) is not None and _is_one_deletion(r2, head):
-        return head
-    tail = r1[:j] + (r2[j - 1],) + r1[j:]
-    if _word_of(tail, window, n) is not None and _is_one_deletion(r2, tail):
-        return tail
+    i0, j0 = i - 1, j - 1
+    if r2[i:j] == r1[i0:j0]:
+        head = r1[:i0] + (r2[i0],) + r1[i0:]
+        if _word_of(head, window, n) is not None:
+            return head
+    if r2[i0:j0] == r1[i:j]:
+        tail = r1[:j] + (r2[j0],) + r1[j:]
+        if _word_of(tail, window, n) is not None:
+            return tail
     raise InconsistentReadsError("no legitimate read vector holds both reads")

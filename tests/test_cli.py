@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import nanoread
-from nanoread import cli
+from nanoread import cli, oracle
 from nanoread.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -257,6 +257,21 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         assert records
         assert all(r["check"] == check and r["status"] == "pass" for r in records)
+
+    def test_validity_image_candidate_guard_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "validity-image", "--n", "8", "--l", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: candidate enumeration guarded")
+
+    def test_counterexample_is_json(self):
+        # a failing record carries its counterexample as JSON lists, so
+        # that it can be read back and replayed
+        params = nanoread.CodeParams(n=4, window=2, residue=0)
+        res = oracle.verify_code_property(params, list(oracle.all_words(4)))
+        rec = json.loads(json.dumps(cli._result_record("code-property", 4, 2, res)))
+        assert rec["status"] == "fail"
+        assert rec["counterexample"] == {"pair": [[0, 0, 0, 1], [0, 0, 1, 0]]}
 
     def test_readme_lists_every_check(self):
         text = " ".join(README.read_text().split())

@@ -1,13 +1,15 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanoread import oracle
 from nanoread.core import (
     MAX_ENUM_N,
     LengthMismatchError,
     ResourceLimitError,
+    _word_of,
     format_levels,
     format_word,
     hamming_distance,
@@ -22,6 +24,15 @@ from nanoread.core import all_words as core_all_words
 
 words = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(tuple)
 long_words = st.lists(st.integers(0, 1), min_size=0, max_size=2048).map(tuple)
+# words of a few hundred bits made of long runs, so that a window of
+# 256 sees a sum of 256 and a one-byte slot would carry
+run_words = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(1, 300)), min_size=1, max_size=3
+).map(lambda runs: tuple(b for b, length in runs for _ in range(length)))
+# windows on both sides of the step from one-byte to two-byte slots
+WIDE_WINDOWS = (255, 256, 257)
+windows = st.one_of(st.integers(1, 6), st.sampled_from(WIDE_WINDOWS))
+NOT_BITS = ((0, 2, 1), (1, -1), (0, 256), (1, 1.0), (0, 1 << 70), ("1",))
 
 
 def all_words(n):
@@ -78,6 +89,22 @@ class TestReadVector:
     def test_window_sums_long(self, x, w):
         assert read_vector(list(x), w) == window_sums(x, w)
 
+    @settings(max_examples=40, deadline=None)
+    @given(run_words, windows)
+    def test_window_sums_wide_windows(self, x, w):
+        assert read_vector(x, w) == window_sums(x, w)
+
+    def test_full_windows_at_the_slot_step(self):
+        for w in WIDE_WINDOWS:
+            for n in (1, 255, 256, 257, 600):
+                assert read_vector((1,) * n, w) == window_sums((1,) * n, w), (n, w)
+
+    @pytest.mark.parametrize("x", NOT_BITS)
+    def test_rejects_non_bits(self, x):
+        for w in (1, 2, 256):
+            with pytest.raises(ValueError):
+                read_vector(x, w)
+
     @given(words, st.integers(1, 6))
     def test_sum_is_window_times_weight(self, x, w):
         assert sum(read_vector(x, w)) == w * weight(x)
@@ -102,6 +129,17 @@ class TestRecoverFromMod2:
     def test_round_trip(self, x, w):
         prefix = [s % 2 for s in read_vector(x, w)[: len(x)]]
         assert recover_from_mod2(prefix, w) == x
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(run_words, long_words), windows)
+    def test_inverts_window_sums(self, x, w):
+        prefix = [s % 2 for s in window_sums(x, w)[: len(x)]]
+        assert recover_from_mod2(prefix, w) == x
+
+    @pytest.mark.parametrize("prefix", NOT_BITS + ((1, 3),))
+    def test_rejects_non_bits(self, prefix):
+        with pytest.raises(ValueError):
+            recover_from_mod2(prefix, 2)
 
     def test_round_trip_exhaustive(self):
         for w in range(1, 6):
@@ -144,6 +182,43 @@ class TestValidity:
                 candidates = itertools.product(range(-1, w + 2), repeat=n + w - 1)
                 valid = {c for c in candidates if is_valid_read_vector(c, w, n)}
                 assert valid == image, (n, w)
+
+    def test_word_of_matches_oracle(self):
+        # every sequence over -1..w+1 of length n + w - 1 <= 7: the packed
+        # kernel returns the same word, or None, as the per-entry recurrence
+        for w in (1, 2, 3, 4):
+            for n in range(0, 9 - w):
+                for c in itertools.product(range(-1, w + 2), repeat=n + w - 1):
+                    assert _word_of(c, w, n) == oracle.word_of(c, w, n), (c, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run_words, st.sampled_from(WIDE_WINDOWS), st.data())
+    def test_word_of_matches_oracle_wide_windows(self, x, w, data):
+        n = len(x)
+        c = list(read_vector(x, w))
+        assert _word_of(tuple(c), w, n) == x
+        i = data.draw(st.integers(0, len(c) - 1))
+        c[i] = data.draw(st.sampled_from([c[i] - 1, c[i] + 1, -1, 256, 257, 1 << 16]))
+        assert _word_of(tuple(c), w, n) == oracle.word_of(c, w, n)
+
+    def test_out_of_range_symbols_invalid(self):
+        for w in (2,) + WIDE_WINDOWS:
+            rv = list(read_vector((1,) * 300, w))
+            for bad in (-1, w + 1, 256, 1 << 16, 1 << 70):
+                c = tuple(rv[:5] + [bad] + rv[6:])
+                assert not is_valid_read_vector(c, w, 300), (w, bad)
+
+    def test_scaled_read_vectors(self):
+        # q * rv divides by the window's all-ones number with a quotient
+        # whose slots hold 0 or q: a word only when q == 1
+        for w in (2,) + WIDE_WINDOWS:
+            for x in ((1,), (1, 0, 1), (1,) * 300):
+                rv = read_vector(x, w)
+                for q in (0, 1, 2, 256, 257):
+                    c = tuple(q * v for v in rv)
+                    want = {0: (0,) * len(x), 1: x}.get(q)
+                    assert _word_of(c, w, len(x)) == want, (w, len(x), q)
+                    assert oracle.word_of(c, w, len(x)) == want, (w, len(x), q)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

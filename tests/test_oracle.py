@@ -248,3 +248,10 @@ class TestDecoderAndReconstruction:
     def test_validity_image_guard(self):
         with pytest.raises(ResourceLimitError):
             verify_validity_image(12, 4)
+
+    @pytest.mark.parametrize("n, window", [(8, 5), (8, 4), (2, 9)])
+    def test_validity_image_candidate_count_guard(self, n, window):
+        # n + window - 1 <= 12, but (window + 1)^(n + window - 1) > 4^12
+        # candidates: refused before the first one is built
+        with pytest.raises(ResourceLimitError):
+            verify_validity_image(n, window)
