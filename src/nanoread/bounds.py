@@ -188,7 +188,11 @@ class BoundReport:
 def bound_report(n: int, window: int) -> BoundReport:
     """Populate every field that is defined at (n, window).
 
-    Fields outside their domain are left absent rather than approximated.
+    Fields outside their domain are left absent rather than approximated:
+    ``lower_bound_bits`` exists only for window >= 2 and n > 2 * window.
+    ``weighted_sum`` bounds the in-run (sticky) deletion code, the
+    ``packing_size`` of ``oracle.exact_max_sticky_code``, not a code for
+    the read channel.
     """
     lower = None
     if window >= 2 and n > 2 * window:

@@ -264,13 +264,18 @@ def _check_sphere_packing(ns: list[int], ls: list[int], args) -> list[dict]:
             if args.exact_only and not res.exact:
                 continue
             ws = bounds.weighted_sum(n, l)
-            ok = Fraction(res.packing_size) <= ws if res.exact else True
+            # a greedy code is a real code, so it too must stay under the
+            # bound; staying under it shows nothing about the optimum
+            if res.packing_size > ws:
+                status = "fail"
+            else:
+                status = "pass" if res.exact else "inconclusive"
             records.append(
                 {
                     "check": args.check,
                     "n": n,
                     "l": l,
-                    "status": "pass" if ok else "fail",
+                    "status": status,
                     "packing_size": res.packing_size,
                     "free_words": res.free_words,
                     "total_size": res.total_size,
@@ -350,13 +355,19 @@ def cmd_verify(args) -> int:
         raise ValueError(
             f"verify {args.check}: all {len(records)} records checked 0 instances"
         )
-    failed = 0
+    statuses = [rec["status"] for rec in records]
+    inconclusive = statuses.count("inconclusive")
+    if inconclusive == len(records):
+        raise ValueError(
+            f"verify {args.check}: all {len(records)} records are inconclusive"
+        )
     for rec in records:
         _emit(rec)
-        if rec["status"] != "pass":
-            failed += 1
-    _note(f"verify {args.check}: {len(records) - failed}/{len(records)} passed")
-    return 1 if failed else 0
+    summary = f"verify {args.check}: {statuses.count('pass')}/{len(records)} passed"
+    if inconclusive:
+        summary += f", {inconclusive} inconclusive"
+    _note(summary)
+    return 1 if "fail" in statuses else 0
 
 
 def cmd_bounds(args) -> int:

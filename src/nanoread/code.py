@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import compress
 from typing import Sequence
 
 from .core import (
     ResourceLimitError,  # noqa: F401  (re-exported)
     Word,
-    _is_one_deletion,
+    _deletion_source,
+    _read_parities,
     _word_of,
     all_words,
     read_vector,
-    recover_from_mod2,
 )
 
 
@@ -53,8 +53,8 @@ class DecodeOutcome:
 
 
 def _checksum(bits: Sequence[int], n: int) -> int:
-    """sum(i * bits_i) mod n+1, positions counted from 1."""
-    return sum(map(mul, bits, range(1, len(bits) + 1))) % (n + 1)
+    """sum(i * bits_i) mod n+1, positions counted from 1; bits are 0 or 1."""
+    return sum(compress(range(1, len(bits) + 1), bits)) % (n + 1)
 
 
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
@@ -173,14 +173,15 @@ def immediate_correct(candidate: Sequence[int]) -> tuple[int, ...] | None:
     candidate = tuple(candidate)
     for i in range(len(candidate) - 1):
         d = candidate[i + 1] - candidate[i]
-        if abs(d) > 2:
-            raise MalformedInputError(
-                f"adjacent gap of {d} at position {i + 1} cannot arise "
-                "from a single deletion"
-            )
-        if abs(d) == 2:
+        if -2 < d < 2:
+            continue
+        if d == 2 or d == -2:
             mid = candidate[i] + (1 if d > 0 else -1)
             return candidate[: i + 1] + (mid,) + candidate[i + 1 :]
+        raise MalformedInputError(
+            f"adjacent gap of {d} at position {i + 1} cannot arise "
+            "from a single deletion"
+        )
     return None
 
 
@@ -203,24 +204,23 @@ def vt_insert(received: Sequence[int], residue: int, n: int) -> tuple[int, ...]:
         raise ValueError("received must be a bit sequence")
     if not 0 <= residue <= n:
         raise DecodeFailure("no insertion meets the checksum")
-    return _vt_insert(received, residue, n)
+    return tuple(_vt_insert(bytes(map(int, received)), residue, n))
 
 
-def _vt_insert(received: tuple[int, ...], residue: int, n: int) -> tuple[int, ...]:
-    """``vt_insert`` on arguments already known to be in range."""
-    w = sum(received)
+def _vt_insert(received: bytes, residue: int, n: int) -> bytes:
+    """``vt_insert`` on bits packed one per byte, arguments in range.
+
+    The 0 goes before the d-th one from the right, the 1 after the
+    (d - w - 1)-th zero from the left: each place is found by one split
+    with a bounded number of cuts.
+    """
+    w = received.count(1)
     d = (residue - _checksum(received, n)) % (n + 1)
     if d <= w:
-        bit, i, ones = 0, len(received), 0
-        while ones < d:
-            i -= 1
-            ones += received[i]
-    else:
-        bit, i, zeros = 1, 0, 0
-        while zeros < d - w - 1:
-            zeros += 1 - received[i]
-            i += 1
-    return received[:i] + (bit,) + received[i:]
+        i = len(received.rsplit(b"\x01", d)[0])
+        return received[:i] + b"\x00" + received[i:]
+    i = len(received) - len(received.split(b"\x00", d - w - 1)[-1])
+    return received[:i] + b"\x01" + received[i:]
 
 
 def _codeword(levels: tuple[int, ...], params: CodeParams, invalid: str) -> Word:
@@ -242,11 +242,15 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     """Recover the transmitted codeword from an intact or once-deleted read.
 
     Full-length inputs are inverted directly.  Shortened inputs first
-    try gap repair; failing that, the first n-1 entries mod 2 are
-    decoded against the checksum and the word is rebuilt from the
-    recovered prefix.  The result is a codeword whose read vector is the
-    input or one deletion of it; when no codeword is, ``DecodeFailure``
-    or ``MalformedInputError`` is raised.
+    try gap repair; failing that (the vt path), the input is packed once
+    in the window's slots, its first n-1 parities are decoded against
+    the checksum, the word is rebuilt from the recovered prefix, and one
+    xor and one shift comparison of the packed input and the word's
+    packed read vector test that the input is one deletion of it.  An
+    entry that does not pack (not an int in [0, 256^k)) is no deletion
+    of a read vector.  The result is a codeword whose read vector is
+    the input or one deletion of it; when no codeword is,
+    ``DecodeFailure`` or ``MalformedInputError`` is raised.
     """
     candidate = tuple(candidate)
     n, window = params.n, params.window
@@ -270,8 +274,11 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
         )
         return DecodeOutcome(word=x, path="immediate")
 
-    prefix = _vt_insert(tuple([s % 2 for s in candidate[: n - 1]]), params.residue, n)
-    x = recover_from_mod2(prefix, window)
-    if not _is_one_deletion(candidate, read_vector(x, window)):
+    packed = _read_parities(candidate, window, n - 1)
+    x = None
+    if packed is not None:
+        read, parities = packed
+        x = _deletion_source(read, _vt_insert(parities, params.residue, n), window)
+    if x is None:
         raise DecodeFailure("recovered word is inconsistent with the received read")
     return DecodeOutcome(word=x, path="vt")

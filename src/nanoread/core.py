@@ -11,8 +11,10 @@ above, so that no window sum carries).  As polynomials the read vector
 is c(z) = x(z) * (1 + z + ... + z^(window-1)), so the transform is one
 multiplication by the window's all-ones number S, and a candidate is a
 read vector exactly when it divides by S with a quotient whose slots
-are bits.  ``oracle.word_of`` keeps the per-entry recurrence as ground
-truth.
+are bits.  The decoder's vt path packs its read once and tests it
+against a recovered word's packed read vector with one xor and one
+shift comparison.  ``oracle.word_of`` keeps the per-entry recurrence as
+ground truth.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
 # bytes per slot -> struct code of that standard size ("<" byte order)
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BITS = b"\x00\x01"
+_PARITY = _BITS * 128  # byte -> its low bit, a bytes.translate table
 _NOT_BITS = "word entries must be bits (0 or 1)"
 
 
@@ -82,16 +85,21 @@ def _window_slots(window: int) -> tuple[int, int]:
     return k, (1 << 8 * k * window) // ((1 << 8 * k) - 1)
 
 
-def _pack(entries: Sequence[int], k: int) -> int:
-    """Entry i in slot i, k bytes wide, of one int.
+def _slot_bytes(entries: Sequence[int], k: int) -> bytes:
+    """Entry i in slot i, k bytes wide, little-endian.
 
     Raises ``ValueError``, ``TypeError`` or ``struct.error`` for an
     entry that is not an int in [0, 256^k).
     """
     if k == 1:
-        return int.from_bytes(bytes(entries), "little")
-    code = _SLOT_FORMATS[k]
-    return int.from_bytes(struct.pack(f"<{len(entries)}{code}", *entries), "little")
+        return bytes(entries)
+    return struct.pack(f"<{len(entries)}{_SLOT_FORMATS[k]}", *entries)
+
+
+def _pack(entries: Sequence[int], k: int) -> int:
+    """Entry i in slot i, k bytes wide, of one int (see ``_slot_bytes``)."""
+    raw = bytes(entries) if k == 1 else _slot_bytes(entries, k)  # one call less
+    return int.from_bytes(raw, "little")
 
 
 def _unpack(value: int, slots: int, k: int) -> tuple[int, ...]:
@@ -137,27 +145,34 @@ def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
     returns x via the recurrence
     x[i] = prefix[i] xor prefix[i-1] xor x[i-window].  Every entry of
     prefix must be 0 or 1; any other raises ``ValueError``.
-
-    Packed one bit per byte, y = p xor (p shifted one slot), and x is
-    the xor of y shifted by every multiple of the window: log2(n /
-    window) doubling steps.  Xor never carries, so one byte serves
-    every window.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     raw = _bit_bytes(prefix)
     n = len(raw)
-    p = int.from_bytes(raw, "little")
+    x = _xor_doubling(int.from_bytes(raw, "little"), n, window)
+    return tuple(x.to_bytes(n, "little"))
+
+
+def _xor_doubling(p: int, n: int, window: int) -> int:
+    """x packed one bit per byte, from its mod-2 prefix p packed alike.
+
+    y = p xor (p shifted one slot), and x is the xor of y shifted by
+    every multiple of the window: log2(n / window) doubling steps.  Xor
+    never carries, so one byte serves every window.  p must hold n
+    bits; they are not checked again.
+    """
     x = p ^ (p << 8)
     stride = window
     while stride < n:
         x ^= x << 8 * stride
         stride *= 2
-    return tuple((x & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
+    return x & ((1 << 8 * n) - 1)
 
 
-def _word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
-    """The binary word of length n whose read vector is levels, or None.
+def _word_bytes(levels: Sequence[int], window: int, n: int) -> bytes | None:
+    """The binary word of length n whose read vector is levels, one byte
+    per bit, or None.
 
     levels must have length n + window - 1.  Packed in the window's
     slots as C, levels is a read vector exactly when C = Q * S for the
@@ -179,15 +194,55 @@ def _word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
     low = raw[::k]  # raw itself when k == 1
     if raw.translate(None, _BITS) or k > 1 and raw.count(1) != low.count(1):
         return None
-    return tuple(low)
+    return low
 
 
-def _is_one_deletion(short: tuple[int, ...], full: tuple[int, ...]) -> bool:
-    """Whether deleting one entry of full leaves short, in one scan."""
-    i = 0
-    while i < len(short) and short[i] == full[i]:
-        i += 1
-    return short[i:] == full[i + 1 :]
+def _word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
+    """``_word_bytes`` as a tuple of bits."""
+    raw = _word_bytes(levels, window, n)
+    return None if raw is None else tuple(raw)
+
+
+def _read_parities(
+    levels: Sequence[int], window: int, count: int
+) -> tuple[int, bytes] | None:
+    """levels packed in the window's slots, and the parities of its
+    first count entries, one byte each.
+
+    None when an entry is not an int in [0, 256^k): no such sequence is
+    a read vector or a deletion of one.
+    """
+    k, _ = _window_slots(window)
+    try:
+        raw = _slot_bytes(levels, k)
+    except (TypeError, ValueError, struct.error):
+        return None
+    return int.from_bytes(raw, "little"), raw[: k * count : k].translate(_PARITY)
+
+
+def _deletion_source(read: int, prefix: bytes, window: int) -> Word | None:
+    """The word whose read vector's mod-2 prefix is prefix, when deleting
+    one entry of that read vector leaves read; else None.
+
+    read is packed as ``_read_parities`` packs it and prefix holds one
+    bit per byte.  The word comes from the xor-doubling steps, its read
+    vector R from one multiplication by S.  With the first slot i where
+    read and R differ found from the lowest set bit of their xor, R
+    loses one entry to give read exactly when read's slots from i on
+    equal R's from i + 1 on: one shift comparison.
+    """
+    k, ones = _window_slots(window)
+    n = len(prefix)
+    x = _xor_doubling(int.from_bytes(prefix, "little"), n, window)
+    bits = x.to_bytes(n, "little")
+    full = (x if k == 1 else _pack(bits, k)) * ones
+    diff = read ^ full
+    if diff:
+        slot = 8 * k
+        start = ((diff & -diff).bit_length() - 1) // slot * slot
+        if read >> start != full >> (start + slot):
+            return None
+    return tuple(bits)
 
 
 def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:

@@ -6,14 +6,16 @@ symbol at the first or last disagreement: one of the two candidates is
 the source.  Two distinct read vectors share at most one single-deletion
 result, so at most one candidate is a legitimate read vector holding
 both reads, and the first one that does is the answer.  When neither
-does, ``InconsistentReadsError`` (a ``ValueError``) is raised.
+does, ``InconsistentReadsError`` (a ``ValueError``) is raised.  One scan
+finds the disagreements, and a candidate's validity is the packed
+kernel's test alone: no word is built for it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import LengthMismatchError, _word_of
+from .core import LengthMismatchError, _word_bytes
 
 
 class InconsistentReadsError(ValueError):
@@ -24,16 +26,25 @@ def disagreement_span(u: Sequence[int], v: Sequence[int]) -> tuple[int, int]:
     """First and last 1-based indices where u and v differ."""
     if len(u) != len(v):
         raise LengthMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
+    span = _span(u, v)
+    if span is None:
+        raise ValueError("sequences are identical")
+    return span[0] + 1, span[1] + 1
+
+
+def _span(u: Sequence[int], v: Sequence[int]) -> tuple[int, int] | None:
+    """First and last 0-based indices where u and v, of one length,
+    differ; None when they do not."""
     m = len(u)
     i = 0
     while i < m and u[i] == v[i]:
         i += 1
     if i == m:
-        raise ValueError("sequences are identical")
+        return None
     j = m - 1
     while u[j] == v[j]:
         j -= 1
-    return i + 1, j + 1
+    return i, j
 
 
 def reconstruct_two(
@@ -60,17 +71,17 @@ def reconstruct_two(
         raise LengthMismatchError(
             f"both reads must have length {expect}, got {len(r1)} and {len(r2)}"
         )
-    if r1 == r2:
+    span = _span(r1, r2)
+    if span is None:
         raise ValueError("reads must be distinct")
-
-    i, j = disagreement_span(r1, r2)
-    i0, j0 = i - 1, j - 1
+    i0, j0 = span
+    i, j = i0 + 1, j0 + 1
     if r2[i:j] == r1[i0:j0]:
         head = r1[:i0] + (r2[i0],) + r1[i0:]
-        if _word_of(head, window, n) is not None:
+        if _word_bytes(head, window, n) is not None:
             return head
     if r2[i0:j0] == r1[i:j]:
         tail = r1[:j] + (r2[j0],) + r1[j:]
-        if _word_of(tail, window, n) is not None:
+        if _word_bytes(tail, window, n) is not None:
             return tail
     raise InconsistentReadsError("no legitimate read vector holds both reads")

@@ -39,6 +39,17 @@ class TestRedundancyLowerBound:
             assert val > prev
             prev = val
 
+    def test_follows_from_the_exact_sum(self):
+        # the first link of the paper's chain: the closed form is at most
+        # the redundancy n - log2(ws) of the exact sphere-packing sum.
+        # log2 of the Fraction through its parts: float(ws) overflows
+        # once n passes about 1024
+        for window in range(2, 6):
+            for n in [*range(2 * window + 1, 200), 256, 512, 1024]:
+                ws = weighted_sum(n, window)
+                bits = n - (math.log2(ws.numerator) - math.log2(ws.denominator))
+                assert redundancy_lower_bound(n, window) <= bits, (n, window)
+
 
 class TestRhoGeqHistogram:
     def test_matches_oracle(self):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +193,34 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_sphere_packing_greedy_record_is_inconclusive(self, capsys):
+        # n = 9 is past the exact search: a greedy code under the bound
+        # says nothing about the optimum, and does not count as passed
+        code, out, err = run(
+            capsys, "verify", "sphere-packing", "--n", "8..9", "--l", "2"
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["exact"], r["status"]) for r in records] == [
+            (True, "pass"),
+            (False, "inconclusive"),
+        ]
+        assert "1/2 passed, 1 inconclusive" in err
+
+    def test_sphere_packing_all_inconclusive_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "sphere-packing", "--n", "9", "--l", "2")
+        assert code == 2
+        assert out == ""
+        assert "all 1 records are inconclusive" in err
+
+    def test_sphere_packing_greedy_code_over_bound_fails(self, capsys, monkeypatch):
+        # a greedy code is a real code: one larger than the bound refutes it
+        monkeypatch.setattr(cli.bounds, "weighted_sum", lambda n, l: Fraction(1))
+        code, out, _ = run(capsys, "verify", "sphere-packing", "--n", "9", "--l", "2")
+        assert code == 1
+        [record] = [json.loads(line) for line in out.splitlines()]
+        assert (record["exact"], record["status"]) == (False, "fail")
+
     def test_empty_range_is_usage_error(self, capsys):
         code, out, _ = run(capsys, "verify", "decoder", "--n", "9..8")
         assert code == 2
@@ -368,3 +397,16 @@ def test_import_loads_only_stdlib():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_as_module():
+    # python -m nanoread works from a checkout, without installing
+    src = pathlib.Path(nanoread.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "nanoread", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: nanoread")

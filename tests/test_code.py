@@ -9,6 +9,7 @@ from nanoread.balls import deletion_ball, sticky_ball
 from nanoread.code import (
     CodeParams,
     DecodeFailure,
+    DecodeOutcome,
     MalformedInputError,
     ResourceLimitError,
     best_residue,
@@ -24,6 +25,18 @@ from nanoread.code import (
 from nanoread import oracle
 from nanoread.core import read_vector
 from nanoread.oracle import all_words, vt_insert_bruteforce
+
+# windows on both sides of the step from one-byte to two-byte slots
+WIDE_WINDOWS = (255, 256, 257)
+
+
+def wide_words(w):
+    """Words of length >= w made of runs up to 2w long, so that window
+    sums reach w and fill the widest slot."""
+    runs = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 2 * w)), max_size=4)
+    return runs.map(
+        lambda rs: tuple(b for b, k in rs for _ in range(k)) + (0,) * w
+    )
 
 
 class TestSyndrome:
@@ -307,6 +320,50 @@ class TestDecodeContract:
         pos = data.draw(st.integers(0, len(rv) - 1))
         assert decode(rv[:pos] + rv[pos + 1 :], params).word == x
         assert decode(rv, params).word == x
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(WIDE_WINDOWS), st.data())
+    def test_wide_slot_round_trip(self, w, data):
+        x = data.draw(wide_words(w))
+        n = len(x)
+        params = CodeParams(n, w, syndrome(x, n, w))
+        rv = read_vector(x, w)
+        assert decode(rv, params) == DecodeOutcome(x, "no-deletion")
+        pos = data.draw(st.integers(0, len(rv) - 1))
+        assert decode(rv[:pos] + rv[pos + 1 :], params).word == x
+
+    def test_wide_slot_every_deletion(self):
+        # a read vector with ramps (deletions there leave a gap of 2), a
+        # flat top at the window and a tail of zeros: both deletion paths
+        for w in WIDE_WINDOWS:
+            x = (1,) * (w + 5) + (0,) * 8
+            n = len(x)
+            params = CodeParams(n, w, syndrome(x, n, w))
+            rv = read_vector(x, w)
+            paths = set()
+            for pos in range(len(rv)):
+                out = decode(rv[:pos] + rv[pos + 1 :], params)
+                assert out.word == x, (w, pos)
+                paths.add(out.path)
+            assert paths == {"immediate", "vt"}, w
+
+    def test_wide_slot_entry_out_of_range(self):
+        # an entry outside [0, 256^k) packs in no slot; beside entries
+        # one away it leaves no gap, so the read takes the vt path
+        for w in WIDE_WINDOWS:
+            x = (1,) * (w + 5) + (0,) * 8
+            n = len(x)
+            params = CodeParams(n, w, syndrome(x, n, w))
+            rv = read_vector(x, w)
+            spots = [(len(rv) - 4, -1)] + [(w + 1, 256)] * (w == 255)
+            for i, bad in spots:
+                full = rv[:i] + (bad,) + rv[i + 1 :]
+                with pytest.raises(DecodeFailure):
+                    decode(full, params)
+                short = full[:-1]
+                assert immediate_correct(short) is None
+                with pytest.raises(DecodeFailure):
+                    decode(short, params)
 
 
 class TestDisjointness:

@@ -1,12 +1,15 @@
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanoread.balls import deletion_ball
 from nanoread.core import LengthMismatchError, is_valid_read_vector, read_vector
 from nanoread.oracle import all_words
+
+# windows on both sides of the step from one-byte to two-byte slots
+WIDE_WINDOWS = (255, 256, 257)
 from nanoread.reconstruct import (
     InconsistentReadsError,
     disagreement_span,
@@ -143,6 +146,33 @@ class TestReconstructTwo:
             assert not found
         else:
             assert found == {got}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(WIDE_WINDOWS), st.data())
+    def test_wide_slot_round_trip(self, w, data):
+        # runs up to 2w long, so that window sums fill the widest slot
+        runs = data.draw(
+            st.lists(st.tuples(st.integers(0, 1), st.integers(1, 2 * w)), max_size=4)
+        )
+        x = tuple(b for b, k in runs for _ in range(k)) + (0,) * w
+        rv = read_vector(x, w)
+        i, j = data.draw(st.lists(st.integers(0, len(rv) - 1), min_size=2, max_size=2))
+        r1, r2 = rv[:i] + rv[i + 1 :], rv[:j] + rv[j + 1 :]
+        if r1 != r2:
+            assert reconstruct_two(r1, r2, w, len(x)) == rv
+
+    def test_wide_slot_entry_out_of_range(self):
+        # -1, and 256 and 2^16 outside one- and two-byte slots, packed
+        # into the tail of zeros of one read
+        for w in WIDE_WINDOWS:
+            x = (1,) * (w + 5) + (0,) * 8
+            rv = read_vector(x, w)
+            r2 = rv[1:]
+            for bad in (-1, 256, 1 << 16, 1 << 70):
+                r1 = rv[:-5] + (bad,) + rv[-4:-1]
+                for pair in ((r1, r2), (r2, r1)):
+                    with pytest.raises(InconsistentReadsError):
+                        reconstruct_two(*pair, w, len(x))
 
 
 def test_error_classes_exported():
