@@ -169,12 +169,19 @@ def immediate_correct(candidate: Sequence[int]) -> tuple[int, ...] | None:
 
     Returns the repaired read vector, or None when every adjacent
     difference is at most 1 (the gap-free case needs checksum decoding).
+    A wider gap, or an entry the scan reaches that is not a number,
+    raises ``MalformedInputError``.
     """
     candidate = tuple(candidate)
     for i in range(len(candidate) - 1):
-        d = candidate[i + 1] - candidate[i]
-        if -2 < d < 2:
-            continue
+        try:
+            d = candidate[i + 1] - candidate[i]
+            if -2 < d < 2:
+                continue
+        except TypeError:
+            raise MalformedInputError(
+                f"entries at positions {i + 1} and {i + 2} are not both numbers"
+            ) from None
         if d == 2 or d == -2:
             mid = candidate[i] + (1 if d > 0 else -1)
             return candidate[: i + 1] + (mid,) + candidate[i + 1 :]

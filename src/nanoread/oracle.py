@@ -5,14 +5,25 @@ inverted index that finds which deletion balls meet, and one exact
 recursion for the largest independent set of a conflict graph.
 Enumeration order is lexicographic so counterexample witnesses are
 stable across runs.
+
+The per-word checks (``verify_decoder``, ``verify_reconstruction`` and
+``verify_ball_equivalence``) fan their enumeration out over the CPUs
+this process may run on: contiguous blocks of at least ``MIN_BLOCK``
+words, every block but the last in a forked child.  The block results
+are merged in enumeration order, so each ``CheckResult`` is the one the
+serial run gives.  They stay serial when ``os.fork`` is missing, when
+one CPU is available, when the enumeration is too small to split, or
+when the process runs more than one thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import add
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .balls import (
     deletion_ball,
@@ -25,11 +36,12 @@ from .code import (
     CodeParams,
     DecodeFailure,
     MalformedInputError,
+    _checksum,
     decode,
     enumerate_code,
-    syndrome,
 )
 from .core import (
+    Levels,
     ResourceLimitError,
     Word,
     all_words,
@@ -44,6 +56,9 @@ MAX_VALIDITY_CANDIDATES = 4**12
 # at window 1 every word's in-run ball is its whole deletion ball and the
 # conflict graph is one dense component: exact search stops earlier
 MAX_EXACT_MIS_N_WINDOW_1 = 6
+# fewest words per forked block: a fork and reap costs a few ms, about
+# what a 256-word reconstruction block takes
+MIN_BLOCK = 256
 
 
 @dataclass
@@ -57,6 +72,102 @@ class CheckResult:
 def _error(exc: Exception) -> str:
     """A per-instance exception as a counterexample field."""
     return f"{type(exc).__name__}: {exc}"
+
+
+# (checked, counterexample or None, words skipped) of one block
+BlockResult = tuple[int, dict | None, int]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_blocks(check: Callable[[list], BlockResult], items: list) -> BlockResult:
+    """check over items, as if in one call, split into contiguous blocks
+    run side by side.
+
+    Every block but the last runs in a forked child that sends back its
+    pickled result or exception; the parent runs the last block itself.
+    Every child is read and reaped before this returns or raises.  In
+    block order, the first block that raised or found a counterexample
+    decides the result: its exception is raised, or its counterexample
+    returned with the counts of every block up to it, which are the
+    counts of the serial run.
+    """
+    blocks = min(_cpus(), len(items) // MIN_BLOCK)
+    if blocks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return check(items)
+    import pickle
+
+    cuts = [len(items) * i // blocks for i in range(blocks + 1)]
+    children: list[tuple[int, int]] = []
+    received: list[tuple[bytes, int]] = []
+    try:
+        for start, stop in zip(cuts[:-2], cuts[1:-1]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _run_child(check, items[start:stop], w)
+            os.close(w)
+            children.append((pid, r))
+        try:
+            own = (True, check(items[cuts[-2]:]))
+        except Exception as exc:  # placed in block order below
+            own = (False, exc)
+    finally:
+        for pid, r in children:
+            with open(r, "rb") as pipe:
+                data = pipe.read()
+            received.append((data, os.waitpid(pid, 0)[1]))
+    outcomes = [
+        pickle.loads(data) if data else (False, RuntimeError(
+            f"oracle block {i} ended without a result"
+            f" (exit code {os.waitstatus_to_exitcode(status)})"
+        ))
+        for i, (data, status) in enumerate(received)
+    ]
+    checked = skipped = 0
+    for ok, value in outcomes + [own]:
+        if not ok:
+            raise value
+        block_checked, counterexample, block_skipped = value
+        checked += block_checked
+        skipped += block_skipped
+        if counterexample is not None:
+            return checked, counterexample, skipped
+    return checked, None, skipped
+
+
+def _run_child(check: Callable[[list], BlockResult], block: list, fd: int):
+    """Run check on block in a forked child, write the pickled outcome
+    to fd and leave by ``os._exit``: never return into the caller.
+
+    A child that cannot send its outcome exits with nothing written,
+    which the parent reports as an error.
+    """
+    import pickle
+
+    status = 1
+    try:
+        try:
+            outcome = (True, check(block))
+        except BaseException as exc:  # the child exits below: send it on
+            outcome = (False, exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
@@ -160,18 +271,21 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     """
     if n < 1:
         raise ValueError("ball equivalence needs n >= 1")
-    checked = 0
-    for x in all_words(n):
-        lhs = restricted_ball(read_vector(x, window), window)
-        rhs = sticky_read_images(x, window)
-        checked += 1
-        if lhs != rhs:
-            return CheckResult(
-                ok=False,
-                checked=checked,
-                counterexample={"word": x, "lhs": sorted(lhs), "rhs": sorted(rhs)},
-            )
-    return CheckResult(ok=True, checked=checked)
+
+    def check(words: list[Word]) -> BlockResult:
+        checked = 0
+        for x in words:
+            lhs = restricted_ball(read_vector(x, window), window)
+            rhs = sticky_read_images(x, window)
+            checked += 1
+            if lhs != rhs:
+                return checked, {"word": x, "lhs": sorted(lhs), "rhs": sorted(rhs)}, 0
+        return checked, None, 0
+
+    checked, counterexample, _ = _in_blocks(check, list(all_words(n)))
+    return CheckResult(
+        ok=counterexample is None, checked=checked, counterexample=counterexample
+    )
 
 
 def _overlaps(balls: Iterable[set]) -> dict[tuple[int, int], int]:
@@ -346,44 +460,38 @@ def verify_decoder(n: int, window: int) -> CheckResult:
     """Exhaustive decode of every single deletion of every codeword,
     over every residue class.
 
-    One pass over all words sorts them into their residue classes, in
-    lexicographic order within each class.
+    One pass over all words sorts them, with their read vectors, into
+    their residue classes, in lexicographic order within each class.
     """
     params = [CodeParams(n=n, window=window, residue=a) for a in range(n + 1)]
-    codes: list[list[Word]] = [[] for _ in params]
+    codes: list[list[tuple[CodeParams, Word, Levels]]] = [[] for _ in params]
     for x in all_words(n):
-        codes[syndrome(x, n, window)].append(x)
-    checked = 0
-    for p, codewords in zip(params, codes):
-        for x in codewords:
-            rv = read_vector(x, window)
+        rv = read_vector(x, window)
+        a = _checksum([s % 2 for s in rv[:n]], n)
+        codes[a].append((params[a], x, rv))
+
+    def check(items: list[tuple[CodeParams, Word, Levels]]) -> BlockResult:
+        checked = 0
+        for p, x, rv in items:
             for cand in deletion_ball(rv):
                 checked += 1
                 try:
                     decoded = decode(cand, p).word
                 except (DecodeFailure, MalformedInputError) as exc:
-                    return CheckResult(
-                        ok=False,
-                        checked=checked,
-                        counterexample={
-                            "word": x,
-                            "residue": p.residue,
-                            "received": cand,
-                            "error": _error(exc),
-                        },
-                    )
-                if decoded != x:
-                    return CheckResult(
-                        ok=False,
-                        checked=checked,
-                        counterexample={
-                            "word": x,
-                            "residue": p.residue,
-                            "received": cand,
-                            "decoded": decoded,
-                        },
-                    )
-    return CheckResult(ok=True, checked=checked)
+                    found = {"error": _error(exc)}
+                else:
+                    if decoded == x:
+                        continue
+                    found = {"decoded": decoded}
+                return checked, {
+                    "word": x, "residue": p.residue, "received": cand, **found
+                }, 0
+        return checked, None, 0
+
+    checked, counterexample, _ = _in_blocks(check, [i for c in codes for i in c])
+    return CheckResult(
+        ok=counterexample is None, checked=checked, counterexample=counterexample
+    )
 
 
 def verify_reconstruction(n: int, window: int) -> CheckResult:
@@ -392,34 +500,32 @@ def verify_reconstruction(n: int, window: int) -> CheckResult:
     Words whose read-vector deletion ball is a singleton admit no two
     distinct reads; they are skipped and counted.
     """
-    checked = 0
-    skipped = 0
-    for x in all_words(n):
-        rv = read_vector(x, window)
-        ball = sorted(deletion_ball(rv))
-        if len(ball) < 2:
-            skipped += 1
-            continue
-        for r1, r2 in combinations(ball, 2):
-            checked += 1
-            try:
-                got = reconstruct_two(r1, r2, window, n)
-            except InconsistentReadsError as exc:
-                return CheckResult(
-                    ok=False,
-                    checked=checked,
-                    counterexample={
-                        "word": x,
-                        "reads": (r1, r2),
-                        "error": _error(exc),
-                    },
-                )
-            if got != rv:
-                return CheckResult(
-                    ok=False,
-                    checked=checked,
-                    counterexample={"word": x, "reads": (r1, r2), "result": got},
-                )
+
+    def check(words: list[Word]) -> BlockResult:
+        checked = 0
+        skipped = 0
+        for x in words:
+            rv = read_vector(x, window)
+            ball = sorted(deletion_ball(rv))
+            if len(ball) < 2:
+                skipped += 1
+                continue
+            for r1, r2 in combinations(ball, 2):
+                checked += 1
+                try:
+                    got = reconstruct_two(r1, r2, window, n)
+                except InconsistentReadsError as exc:
+                    found = {"error": _error(exc)}
+                else:
+                    if got == rv:
+                        continue
+                    found = {"result": got}
+                return checked, {"word": x, "reads": (r1, r2), **found}, skipped
+        return checked, None, skipped
+
+    checked, counterexample, skipped = _in_blocks(check, list(all_words(n)))
+    if counterexample is not None:
+        return CheckResult(ok=False, checked=checked, counterexample=counterexample)
     return CheckResult(ok=True, checked=checked, detail={"skipped_singletons": skipped})
 
 

@@ -153,6 +153,11 @@ class TestImmediateCorrect:
         with pytest.raises(MalformedInputError):
             immediate_correct((0, 3))
 
+    @pytest.mark.parametrize("bad", [None, "1", 1j])
+    def test_non_numeric_entry_rejected(self, bad):
+        with pytest.raises(MalformedInputError, match="positions 2 and 3"):
+            immediate_correct((0, 1, bad, 1))
+
 
 class TestVtInsert:
     def test_reference(self):
@@ -364,6 +369,22 @@ class TestDecodeContract:
                 assert immediate_correct(short) is None
                 with pytest.raises(DecodeFailure):
                     decode(short, params)
+
+    @pytest.mark.parametrize("bad", [None, "1"])
+    def test_non_numeric_entry(self, bad):
+        # a shortened read whose gap scan reaches the entry is malformed;
+        # a full-length read holding it is no read vector
+        params = CodeParams(6, 3, 2)
+        with pytest.raises(MalformedInputError, match="not both numbers"):
+            decode((1, 1, 2, 2, 1, 0, bad), params)
+        with pytest.raises(DecodeFailure):
+            decode((1, 1, 2, 2, 1, 0, bad, 0), params)
+        # at every position, either length: one of the typed errors
+        rv = read_vector((1, 0, 1, 1, 0, 0), 3)
+        for read in (rv, rv[:-1]):
+            for i in range(len(read)):
+                with pytest.raises((DecodeFailure, MalformedInputError)):
+                    decode(read[:i] + (bad,) + read[i + 1 :], params)
 
 
 class TestDisjointness:

@@ -1,9 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nanoread
 from nanoread import oracle
 from nanoread.balls import sticky_ball
 from nanoread.bounds import weighted_sum
@@ -11,8 +17,11 @@ from nanoread.code import (
     CodeParams,
     DecodeFailure,
     MalformedInputError,
+    decode as real_decode,
     enumerate_code,
+    syndrome,
 )
+from nanoread.core import read_vector
 from nanoread.oracle import (
     ResourceLimitError,
     all_words,
@@ -255,3 +264,198 @@ class TestDecoderAndReconstruction:
         # candidates: refused before the first one is built
         with pytest.raises(ResourceLimitError):
             verify_validity_image(n, window)
+
+
+FANNED = ("verify_decoder", "verify_reconstruction", "verify_ball_equivalence")
+# the verify-sweep cells, and one larger
+SWEEP = [(n, l) for l in (2, 3) for n in range(l, 12)] + [(12, 2)]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the oracles fork; after the test, no
+    child of this process is left."""
+    real_fork = os.fork
+    forked = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(oracle, "_cpus", lambda: count)
+
+
+def _decoder_order(n, window):
+    """The decoder's enumeration: residue classes, lexicographic within."""
+    return sorted(all_words(n), key=lambda x: syndrome(x, n, window))
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("check", FANNED)
+    def test_fanned_equals_serial(self, monkeypatch, forks, check):
+        verify = getattr(oracle, check)
+        for n, l in SWEEP:
+            _set_cpus(monkeypatch, 1)
+            serial = verify(n, l)
+            _set_cpus(monkeypatch, 2)
+            assert verify(n, l) == serial, (n, l)
+        # cells of 512 words and more split into two blocks
+        assert len(forks) == sum(n >= 9 for n, _ in SWEEP)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_forks_at_most_cpus_less_one(self, monkeypatch, forks, cpus):
+        _set_cpus(monkeypatch, cpus)
+        assert verify_decoder(10, 2).ok  # 1024 words: up to four blocks
+        assert len(forks) == cpus - 1
+
+    def test_host_cpus(self, forks):
+        assert verify_reconstruction(11, 2).ok
+        assert len(forks) <= oracle._cpus() - 1
+
+    def test_small_cell_stays_serial(self, monkeypatch, forks):
+        _set_cpus(monkeypatch, 4)
+        assert verify_decoder(8, 2).ok  # 256 words: one block
+        assert forks == []
+
+    def test_without_fork_stays_serial(self, monkeypatch, forks):
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        assert verify_reconstruction(10, 2).ok
+
+    def test_threaded_process_stays_serial(self, monkeypatch, forks):
+        _set_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            assert verify_ball_equivalence(10, 2).ok
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    @pytest.mark.parametrize("where", ["first", "last", "both"])
+    def test_decode_failure_in_a_block(self, monkeypatch, forks, where):
+        # three blocks of the 1024 decoder words; the first failing
+        # block in enumeration order decides
+        order = _decoder_order(10, 2)
+        targets = {"first": [order[100]], "last": [order[-100]]}
+        targets["both"] = targets["first"] + targets["last"]
+
+        def decode(received, params):
+            out = real_decode(received, params)
+            if out.word in targets[where]:
+                raise DecodeFailure("refused")
+            return out
+
+        monkeypatch.setattr(oracle, "decode", decode)
+        _set_cpus(monkeypatch, 1)
+        serial = verify_decoder(10, 2)
+        _set_cpus(monkeypatch, 3)
+        fanned = verify_decoder(10, 2)
+        assert len(forks) == 2
+        assert fanned == serial
+        assert not fanned.ok
+        assert fanned.counterexample["word"] == targets[where][0]
+        assert fanned.counterexample["error"] == "DecodeFailure: refused"
+
+    @pytest.mark.parametrize("index", [100, 1000])
+    def test_wrong_reconstruction_in_a_block(self, monkeypatch, forks, index):
+        target = read_vector(list(all_words(10))[index], 2)
+        real = oracle.reconstruct_two
+
+        def reconstruct_two(first, second, window, n):
+            got = real(first, second, window, n)
+            return got[::-1] if got == target else got
+
+        monkeypatch.setattr(oracle, "reconstruct_two", reconstruct_two)
+        _set_cpus(monkeypatch, 1)
+        serial = verify_reconstruction(10, 2)
+        _set_cpus(monkeypatch, 3)
+        fanned = verify_reconstruction(10, 2)
+        assert len(forks) == 2
+        assert fanned == serial
+        assert not fanned.ok
+        assert fanned.detail == {}
+        assert fanned.counterexample["result"] == target[::-1]
+
+    def test_child_exception_is_raised(self, monkeypatch, forks):
+        parent = os.getpid()
+        first = _decoder_order(10, 2)[0]
+
+        def decode(received, params):
+            out = real_decode(received, params)
+            if out.word == first:
+                raise TypeError(f"in pid {os.getpid()}")
+            return out
+
+        monkeypatch.setattr(oracle, "decode", decode)
+        _set_cpus(monkeypatch, 2)
+        with pytest.raises(TypeError, match="in pid") as info:
+            verify_decoder(10, 2)
+        assert str(info.value) != f"in pid {parent}"
+        assert len(forks) == 1
+
+    def test_parent_exception_takes_its_block_place(self, monkeypatch, forks):
+        # the parent's own (last) block raises, but an earlier block
+        # found a counterexample: that one is the result
+        parent = os.getpid()
+        first = _decoder_order(10, 2)[0]
+
+        def decode(received, params):
+            if os.getpid() == parent:
+                raise TypeError("parent block")
+            out = real_decode(received, params)
+            if out.word == first:
+                raise DecodeFailure("refused")
+            return out
+
+        monkeypatch.setattr(oracle, "decode", decode)
+        _set_cpus(monkeypatch, 2)
+        res = verify_decoder(10, 2)
+        assert not res.ok
+        assert res.counterexample["word"] == first
+        assert len(forks) == 1
+
+    def test_child_that_dies_is_no_pass(self, monkeypatch, forks):
+        parent = os.getpid()
+        real = oracle.reconstruct_two
+
+        def reconstruct_two(first, second, window, n):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(first, second, window, n)
+
+        monkeypatch.setattr(oracle, "reconstruct_two", reconstruct_two)
+        _set_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"without a result \(exit code 1\)"):
+            verify_reconstruction(10, 2)
+        assert len(forks) == 1
+
+
+def test_import_loads_no_pickle_or_multiprocessing():
+    # the fan-out imports pickle only when it forks: importing the
+    # package stays as cheap as it was
+    src = pathlib.Path(nanoread.__file__).resolve().parents[1]
+    probe = (
+        "import sys, nanoread; "
+        "print(sorted({'pickle', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
