@@ -35,11 +35,9 @@ from .core import (
     LengthMismatchError,
     ResourceLimitError,
     all_words,
-    hamming_distance,
     is_valid_read_vector,
     read_vector,
     recover_from_mod2,
-    weight,
 )
 from .reconstruct import (
     InconsistentReadsError,
@@ -68,7 +66,6 @@ __all__ = [
     "encode",
     "enumerate_code",
     "expected_runs",
-    "hamming_distance",
     "immediate_correct",
     "is_member",
     "is_valid_read_vector",
@@ -84,6 +81,5 @@ __all__ = [
     "syndrome",
     "tail_count",
     "vt_insert",
-    "weight",
     "weighted_sum",
 ]

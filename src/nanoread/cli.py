@@ -20,7 +20,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 from . import balls, bounds, code, core, oracle, reconstruct
 
@@ -35,7 +34,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(record, sort_keys=True, default=str))
 
 
 def _note(msg: str) -> None:
@@ -192,166 +191,96 @@ def cmd_reconstruct(args) -> int:
     return 1 if failures else 0
 
 
-def _check_expected_runs(ns: list[int], ls: list[int], args) -> list[dict]:
-    records = []
-    for n in ns:
-        for a in range(1, n + 1):
-            hist = oracle.rho_geq_histogram(n, a)
-            avg = Fraction(sum(r * k for r, k in enumerate(hist)), 1 << n)
-            want = bounds.expected_runs(n, a)
-            records.append(
-                {
-                    "check": args.check,
-                    "n": n,
-                    "a": a,
-                    "status": "pass" if avg == want else "fail",
-                    "average": str(avg),
-                    "formula": str(want),
-                }
-            )
-    return records
+_STATUS = {True: "pass", False: "fail", None: "inconclusive"}
 
 
-def _check_tail_bound(ns: list[int], ls: list[int], args) -> list[dict]:
-    a_values = ls if args.l else [1, 2, 3]
-    records = []
-    for n in ns:
-        for a in a_values:
-            if a > n:  # expectation formula needs a <= n
-                continue
-            count = bounds.tail_count(n, a)
-            rhs = (1 << n) * math.exp(-n / 2 ** (2 * a + 1))
-            records.append(
-                {
-                    "check": args.check,
-                    "n": n,
-                    "a": a,
-                    "status": "pass" if count <= rhs + 1e-9 else "fail",
-                    "count": count,
-                    "bound": rhs,
-                }
-            )
-    return records
-
-
-def _check_sticky_size(ns: list[int], ls: list[int], args) -> list[dict]:
-    records = []
-    for n in ns:
-        bad = None
-        for x in oracle.all_words(n):
-            for r in range(1, n + 1):
-                if len(balls.sticky_ball(x, r)) != balls.rho_geq(x, r):
-                    bad = {"word": x, "r": r}
-                    break
-            if bad:
-                break
-        records.append(
-            {
-                "check": args.check,
-                "n": n,
-                "status": "pass" if bad is None else "fail",
-                "counterexample": bad,
-            }
-        )
-    return records
-
-
-def _check_sphere_packing(ns: list[int], ls: list[int], args) -> list[dict]:
-    records = []
-    for n in ns:
-        for l in ls:
-            res = oracle.exact_max_sticky_code(n, l)
-            if args.exact_only and not res.exact:
-                continue
-            ws = bounds.weighted_sum(n, l)
-            # a greedy code is a real code, so it too must stay under the
-            # bound; staying under it shows nothing about the optimum
-            if res.packing_size > ws:
-                status = "fail"
-            else:
-                status = "pass" if res.exact else "inconclusive"
-            records.append(
-                {
-                    "check": args.check,
-                    "n": n,
-                    "l": l,
-                    "status": status,
-                    "packing_size": res.packing_size,
-                    "free_words": res.free_words,
-                    "total_size": res.total_size,
-                    "exact": res.exact,
-                    "weighted_sum": str(ws),
-                }
-            )
-    return records
-
-
-def _result_record(check: str, n: int, l: int, res: oracle.CheckResult) -> dict:
+def _result_record(check: str, cell: dict, res: oracle.CheckResult) -> dict:
     rec = {
         "check": check,
-        "n": n,
-        "l": l,
-        "status": "pass" if res.ok else "fail",
+        **cell,
+        "status": _STATUS[res.ok],
         "checked": res.checked,
+        **res.detail,
     }
-    rec.update({k: str(v) for k, v in res.detail.items()})
     if res.counterexample is not None:
         rec["counterexample"] = res.counterexample
     return rec
 
 
-def _per_cell(verify, skip=lambda n, l: False):
-    """A check with one oracle record per (n, l) cell, except the cells
-    where ``skip(n, l)`` holds."""
+def _windows(ls: list[int] | None) -> list[int]:
+    return [2] if ls is None else ls
 
-    def check(ns: list[int], ls: list[int], args) -> list[dict]:
+
+def _by_window(skip=lambda n, l: False):
+    """Cells {n, l} over ns and the windows, except where skip(n, l)."""
+
+    def cells(ns: list[int], ls: list[int] | None) -> list[dict]:
         return [
-            _result_record(args.check, n, l, verify(n, l))
-            for n in ns
-            for l in ls
-            if not skip(n, l)
+            {"n": n, "l": l} for n in ns for l in _windows(ls) if not skip(n, l)
         ]
 
-    return check
+    return cells
 
 
-def _check_code_property(ns: list[int], ls: list[int], args) -> list[dict]:
-    records = []
-    for n in ns:
-        for l in ls:
-            if n < l:
-                continue
-            for a in range(n + 1):
-                params = code.CodeParams(n=n, window=l, residue=a)
-                res = oracle.verify_code_property(params)
-                records.append({**_result_record(args.check, n, l, res), "a": a})
-    return records
+def _code_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
+    return [
+        {"n": n, "l": l, "a": a}
+        for n in ns
+        for l in _windows(ls)
+        if n >= l
+        for a in range(n + 1)
+    ]
 
 
-# check name -> (ns, ls, args) -> records, in the order ``--help`` lists them
+def _run_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
+    return [{"n": n, "a": a} for n in ns for a in range(1, n + 1)]
+
+
+def _tail_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
+    # the expectation behind the bound needs a <= n
+    a_values = [1, 2, 3] if ls is None else ls
+    return [{"n": n, "a": a} for n in ns for a in a_values if a <= n]
+
+
+def _word_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
+    return [{"n": n} for n in ns]
+
+
+def _code_property(n: int, l: int, a: int) -> oracle.CheckResult:
+    return oracle.verify_code_property(code.CodeParams(n=n, window=l, residue=a))
+
+
+# check name -> (oracle check, cells), in the order ``--help`` lists them;
+# cells(ns, ls) lists each record's cell keys, and the check is called
+# with the cell's values in that order; ls is None when --l is omitted
 VERIFY_CHECKS = {
-    "ball-equivalence": _per_cell(
-        oracle.verify_ball_equivalence, skip=lambda n, l: n < 1
+    "ball-equivalence": (
+        oracle.verify_ball_equivalence, _by_window(skip=lambda n, l: n < 1)
     ),
-    "intersection": _per_cell(oracle.verify_intersection_bound),
-    "reconstruction": _per_cell(oracle.verify_reconstruction),
-    "decoder": _per_cell(oracle.verify_decoder, skip=lambda n, l: n < l),
-    "code-property": _check_code_property,
-    "validity-image": _per_cell(oracle.verify_validity_image),
-    "expected-runs": _check_expected_runs,
-    "tail-bound": _check_tail_bound,
-    "sticky-size": _check_sticky_size,
-    "sphere-packing": _check_sphere_packing,
+    "intersection": (oracle.verify_intersection_bound, _by_window()),
+    "reconstruction": (oracle.verify_reconstruction, _by_window()),
+    "decoder": (oracle.verify_decoder, _by_window(skip=lambda n, l: n < l)),
+    "code-property": (_code_property, _code_cells),
+    "validity-image": (oracle.verify_validity_image, _by_window()),
+    "expected-runs": (oracle.verify_expected_runs, _run_cells),
+    "tail-bound": (oracle.verify_tail_bound, _tail_cells),
+    "sticky-size": (oracle.verify_sticky_size, _word_cells),
+    "sphere-packing": (oracle.verify_sphere_packing, _by_window()),
 }
 
 
 def cmd_verify(args) -> int:
-    ns = _parse_range(args.n)
-    ls = _parse_range(args.l) if args.l else [2]
-    records = VERIFY_CHECKS[args.check](ns, ls, args)
+    check, cells = VERIFY_CHECKS[args.check]
+    ls = _parse_range(args.l) if args.l else None
+    records = [
+        _result_record(args.check, cell, check(*cell.values()))
+        for cell in cells(_parse_range(args.n), ls)
+    ]
+    if args.exact_only:
+        records = [rec for rec in records if rec["status"] != "inconclusive"]
     if not records:
         raise ValueError(f"verify {args.check}: no (n, l) in range produced a record")
-    if all(rec.get("checked") == 0 for rec in records):
+    if all(rec["checked"] == 0 for rec in records):
         raise ValueError(
             f"verify {args.check}: all {len(records)} records checked 0 instances"
         )

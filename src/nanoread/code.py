@@ -9,7 +9,6 @@ insertion-correcting decoding of the truncated mod-2 prefix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -57,11 +56,17 @@ def _checksum(bits: Sequence[int], n: int) -> int:
     return sum(compress(range(1, len(bits) + 1), bits)) % (n + 1)
 
 
+def _levels_syndrome(levels: Sequence[int], n: int) -> int:
+    """The checksum of the parities of the first n entries of a read
+    vector: the syndrome of its word."""
+    return _checksum([s % 2 for s in levels[:n]], n)
+
+
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
     """Weighted checksum of the read vector's mod-2 prefix, mod n+1."""
     if len(x) != n:
         raise ValueError(f"word length {len(x)} != n = {n}")
-    return _checksum([s % 2 for s in read_vector(x, window)[:n]], n)
+    return _levels_syndrome(read_vector(x, window), n)
 
 
 def is_member(x: Sequence[int], params: CodeParams) -> bool:
@@ -73,66 +78,38 @@ def enumerate_code(params: CodeParams) -> list[Word]:
     return [x for x in all_words(params.n) if is_member(x, params)]
 
 
-def residue_sizes(n: int, window: int) -> list[int]:
-    """Codeword count of every residue class; the classes partition 2^n.
-
-    The syndrome of x is the checksum sum(i * p_i) mod n+1 of p, the
-    read vector's mod-2 prefix, and x -> p is a bijection on length-n
-    words (``recover_from_mod2`` inverts it).  So class a holds as many
-    words as there are binary p with that checksum equal to a: the
-    Varshamov-Tenengolts class sizes, whatever the window.  They have a
-    closed form (Ginzburg 1967; Sloane, arXiv math/0207197):
-
-        |VT_a(n)| = 1/(2(n+1)) * sum over odd d | n+1 of c_d(a) * 2^((n+1)/d)
-
-    with Ramanujan's sum c_d(a) = mu(d/g) * phi(d) / phi(d/g), g = gcd(d, a).
-    One factorisation of n+1 serves every residue.
-    """
-    m = _modulus(n, window)
-    divisors = _odd_divisors(m)
-    terms = [(d, phi, 1 << (m // d)) for d, (phi, _) in divisors.items()]
-    sizes = []
-    for a in range(m):
-        total = 0
-        for d, phi, power in terms:
-            phi_q, mu_q = divisors[d // math.gcd(d, a)]
-            total += mu_q * (phi // phi_q) * power
-        sizes.append(total // (2 * m))
-    return sizes
-
-
 def best_residue(n: int, window: int) -> tuple[int, int]:
     """Residue with the largest code, ties broken by smallest residue.
 
-    Class 0 is always a largest class (Sloane, arXiv math/0207197), so
-    the answer is residue 0 with the a = 0 term of the closed form in
-    ``residue_sizes``: sum of phi(d) * 2^((n+1)/d) over odd d | n+1,
-    divided by 2(n+1).  The window does not matter: x -> p(x) is a
-    bijection for every window.  It stays a parameter so that callers
-    name the code they mean.
+    The syndrome of x is the checksum sum(i * p_i) mod n+1 of p, the
+    read vector's mod-2 prefix, and x -> p is a bijection on length-n
+    words for every window (``recover_from_mod2`` inverts it).  So
+    class a holds as many words as there are binary p with that
+    checksum equal to a: the Varshamov-Tenengolts class sizes.  Class 0
+    is always a largest one (Sloane, arXiv math/0207197), of size
+
+        |VT_0(n)| = 1/(2(n+1)) * sum over odd d | n+1 of phi(d) * 2^((n+1)/d)
+
+    (Ginzburg 1967).  The window does not matter; it stays a parameter
+    so that callers name the code they mean.
     """
-    m = _modulus(n, window)
-    total = sum(phi << (m // d) for d, (phi, _) in _odd_divisors(m).items())
-    return 0, total // (2 * m)
-
-
-def _modulus(n: int, window: int) -> int:
-    """The checksum modulus n + 1, after the class-size argument checks."""
     if window < 1:
         raise ValueError("window must be >= 1")
     if n < 0:
         raise ValueError("word length must be >= 0")
-    return n + 1
+    m = n + 1
+    total = sum(phi << (m // d) for d, phi in _odd_divisors(m).items())
+    return 0, total // (2 * m)
 
 
-def _odd_divisors(m: int) -> dict[int, tuple[int, int]]:
-    """Every odd divisor d of m >= 1, mapped to (phi(d), mu(d)).
+def _odd_divisors(m: int) -> dict[int, int]:
+    """Every odd divisor d of m >= 1, mapped to phi(d).
 
     Built from one trial-division factorisation of m's odd part.
     """
     while m % 2 == 0:
         m //= 2
-    divisors = {1: (1, 1)}
+    divisors = {1: 1}
     p = 3
     while m > 1:
         if p * p > m:
@@ -143,11 +120,11 @@ def _odd_divisors(m: int) -> dict[int, tuple[int, int]]:
             k += 1
         if k:
             grown = dict(divisors)
-            for d, (phi, mu) in divisors.items():
+            for d, phi in divisors.items():
                 q, phi_q = d, phi * (p - 1)
-                for j in range(k):
+                for _ in range(k):
                     q *= p
-                    grown[q] = (phi_q, -mu if j == 0 else 0)
+                    grown[q] = phi_q
                     phi_q *= p
             divisors = grown
         p += 2
@@ -240,7 +217,7 @@ def _codeword(levels: tuple[int, ...], params: CodeParams, invalid: str) -> Word
     x = _word_of(levels, params.window, params.n)
     if x is None:
         raise DecodeFailure(invalid)
-    if _checksum([s % 2 for s in levels[: params.n]], params.n) != params.residue:
+    if _levels_syndrome(levels, params.n) != params.residue:
         raise DecodeFailure("the read vector's word is not a codeword")
     return x
 

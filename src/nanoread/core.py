@@ -49,17 +49,6 @@ def all_words(n: int) -> Iterator[Word]:
     return product((0, 1), repeat=n)
 
 
-def weight(x: Sequence[int]) -> int:
-    """Hamming weight (number of ones)."""
-    return sum(1 for b in x if b)
-
-
-def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
-    if len(u) != len(v):
-        raise LengthMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(1 for a, b in zip(u, v) if a != b)
-
-
 # bytes per slot -> struct code of that standard size ("<" byte order)
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BITS = b"\x00\x01"

@@ -6,25 +6,29 @@ recursion for the largest independent set of a conflict graph.
 Enumeration order is lexicographic so counterexample witnesses are
 stable across runs.
 
-The per-word checks (``verify_decoder``, ``verify_reconstruction`` and
-``verify_ball_equivalence``) fan their enumeration out over the CPUs
-this process may run on: contiguous blocks of at least ``MIN_BLOCK``
-words, every block but the last in a forked child.  The block results
-are merged in enumeration order, so each ``CheckResult`` is the one the
-serial run gives.  They stay serial when ``os.fork`` is missing, when
-one CPU is available, when the enumeration is too small to split, or
-when the process runs more than one thread.
+Every ``verify_*`` function returns a ``CheckResult``.  The costly
+per-word checks (``verify_decoder`` and ``verify_reconstruction``) fan
+their enumeration out over the CPUs this process may run on: contiguous
+blocks of at least ``MIN_BLOCK`` words, every block but the last in a
+forked child.  The block results are merged in enumeration order, so
+each ``CheckResult`` is the one the serial run gives.  They stay serial
+when ``os.fork`` is missing, when one CPU is available, when the
+enumeration is too small to split, or when the process runs more than
+one thread.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, product
 from operator import add
 from typing import Callable, Iterable, Sequence
 
+from . import bounds
 from .balls import (
     deletion_ball,
     restricted_ball,
@@ -36,7 +40,7 @@ from .code import (
     CodeParams,
     DecodeFailure,
     MalformedInputError,
-    _checksum,
+    _levels_syndrome,
     decode,
     enumerate_code,
 )
@@ -63,7 +67,10 @@ MIN_BLOCK = 256
 
 @dataclass
 class CheckResult:
-    ok: bool
+    """One check at one cell.  ``ok`` is None when the check could not
+    decide; a failing result carries a JSON-ready ``counterexample``."""
+
+    ok: bool | None
     checked: int
     detail: dict = field(default_factory=dict)
     counterexample: dict | None = None
@@ -267,25 +274,24 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     """Compare the restricted ball of each read vector with the in-run
     deletion image set, both directions, over all words of length n.
 
-    The lemma is about deletions from a word, so n must be >= 1.
+    The lemma is about deletions from a word, so n must be >= 1.  Runs
+    serially: at about 20 us a word, a forked block gains less than the
+    fork costs.
     """
     if n < 1:
         raise ValueError("ball equivalence needs n >= 1")
-
-    def check(words: list[Word]) -> BlockResult:
-        checked = 0
-        for x in words:
-            lhs = restricted_ball(read_vector(x, window), window)
-            rhs = sticky_read_images(x, window)
-            checked += 1
-            if lhs != rhs:
-                return checked, {"word": x, "lhs": sorted(lhs), "rhs": sorted(rhs)}, 0
-        return checked, None, 0
-
-    checked, counterexample, _ = _in_blocks(check, list(all_words(n)))
-    return CheckResult(
-        ok=counterexample is None, checked=checked, counterexample=counterexample
-    )
+    checked = 0
+    for x in all_words(n):
+        lhs = restricted_ball(read_vector(x, window), window)
+        rhs = sticky_read_images(x, window)
+        checked += 1
+        if lhs != rhs:
+            return CheckResult(
+                ok=False,
+                checked=checked,
+                counterexample={"word": x, "lhs": sorted(lhs), "rhs": sorted(rhs)},
+            )
+    return CheckResult(ok=True, checked=checked)
 
 
 def _overlaps(balls: Iterable[set]) -> dict[tuple[int, int], int]:
@@ -467,7 +473,7 @@ def verify_decoder(n: int, window: int) -> CheckResult:
     codes: list[list[tuple[CodeParams, Word, Levels]]] = [[] for _ in params]
     for x in all_words(n):
         rv = read_vector(x, window)
-        a = _checksum([s % 2 for s in rv[:n]], n)
+        a = _levels_syndrome(rv, n)
         codes[a].append((params[a], x, rv))
 
     def check(items: list[tuple[CodeParams, Word, Levels]]) -> BlockResult:
@@ -554,3 +560,76 @@ def verify_validity_image(n: int, window: int) -> CheckResult:
                 ok=False, checked=checked, counterexample={"candidate": cand}
             )
     return CheckResult(ok=True, checked=checked, detail={"image_size": len(image)})
+
+
+def verify_expected_runs(n: int, a: int) -> CheckResult:
+    """The word-by-word mean of rho_geq(., a) over the 2^n words equals
+    ``bounds.expected_runs(n, a)``; needs 1 <= a <= n."""
+    hist = rho_geq_histogram(n, a)
+    average = Fraction(sum(r * k for r, k in enumerate(hist)), 1 << n)
+    formula = bounds.expected_runs(n, a)
+    return CheckResult(
+        ok=average == formula,
+        checked=1 << n,
+        detail={"average": average, "formula": formula},
+        counterexample=None if average == formula else {"histogram": hist},
+    )
+
+
+def verify_tail_bound(n: int, a: int) -> CheckResult:
+    """``bounds.tail_count(n, a)`` is at most 2^n exp(-n / 2^(2a+1)): one
+    count against one float bound, with 1e-9 slack for rounding.
+
+    Needs 1 <= a <= n, where the expectation behind the bound holds.
+    """
+    if a > n:
+        raise ValueError("the tail bound needs a <= n")
+    count = bounds.tail_count(n, a)
+    bound = (1 << n) * math.exp(-n / 2 ** (2 * a + 1))
+    ok = count <= bound + 1e-9
+    return CheckResult(
+        ok=ok,
+        checked=1,
+        detail={"count": count, "bound": bound},
+        counterexample=None if ok else {"count": count, "bound": bound},
+    )
+
+
+def verify_sticky_size(n: int) -> CheckResult:
+    """|sticky_ball(x, r)| equals rho_geq(x, r) for every word x of
+    length n and every r in 1..n; ``checked`` counts the (x, r) pairs."""
+    checked = 0
+    for x in all_words(n):
+        for r in range(1, n + 1):
+            checked += 1
+            if len(sticky_ball(x, r)) != rho_geq(x, r):
+                return CheckResult(
+                    ok=False, checked=checked, counterexample={"word": x, "r": r}
+                )
+    return CheckResult(ok=True, checked=checked)
+
+
+def verify_sphere_packing(n: int, window: int) -> CheckResult:
+    """The largest in-run deletion code stays within the weighted
+    sphere-packing sum ``bounds.weighted_sum(n, window)``.
+
+    ``checked`` counts the words the code search ran over.  Past the
+    exact search the code is greedy: a greedy code is a real code, so
+    one over the bound fails, and its words are the counterexample; one
+    under it shows nothing about the optimum, and ``ok`` is None.
+    """
+    res = exact_max_sticky_code(n, window)
+    ws = bounds.weighted_sum(n, window)
+    ok = False if res.packing_size > ws else (True if res.exact else None)
+    return CheckResult(
+        ok=ok,
+        checked=(1 << n) - res.free_words,
+        detail={
+            "packing_size": res.packing_size,
+            "free_words": res.free_words,
+            "total_size": res.total_size,
+            "exact": res.exact,
+            "weighted_sum": ws,
+        },
+        counterexample=None if ok is not False else {"witness": res.witness},
+    )

@@ -15,7 +15,6 @@ from nanoread.bounds import (
     tail_count,
     weighted_sum,
 )
-from nanoread.code import residue_sizes
 from nanoread.oracle import all_words
 
 
@@ -86,7 +85,7 @@ class TestRhoGeqHistogram:
         if a <= n:
             runs = sum(r * k for r, k in enumerate(hist))
             assert runs == (1 << n) * expected_runs(n, a)
-        assert sum(residue_sizes(n, a)) == 1 << n
+        assert sum(oracle.residue_sizes(n, a)) == 1 << n
         # bound_report builds one histogram for both of these fields
         rep = bound_report(n, a)
         assert rep.weighted_sum == weighted_sum(n, a)

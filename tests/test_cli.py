@@ -168,6 +168,61 @@ class TestReconstructCmd:
         assert "5 trials were singleton skips" in err
 
 
+# one pinned record per check, its first at a tiny cell: (args after
+# the check name, the stdout line)
+RECORDS = {
+    "ball-equivalence": (
+        ("--n", "3", "--l", "2"),
+        '{"check": "ball-equivalence", "checked": 8, "l": 2, "n": 3, '
+        '"status": "pass"}',
+    ),
+    "intersection": (
+        ("--n", "3", "--l", "2"),
+        '{"check": "intersection", "checked": 8, "l": 2, "max_overlap": 1, '
+        '"n": 3, "status": "pass", "witness": [[0, 0, 1], [0, 1, 0]]}',
+    ),
+    "reconstruction": (
+        ("--n", "3", "--l", "2"),
+        '{"check": "reconstruction", "checked": 20, "l": 2, "n": 3, '
+        '"skipped_singletons": 2, "status": "pass"}',
+    ),
+    "decoder": (
+        ("--n", "3", "--l", "2"),
+        '{"check": "decoder", "checked": 20, "l": 2, "n": 3, "status": "pass"}',
+    ),
+    "code-property": (
+        ("--n", "3", "--l", "2"),
+        '{"a": 0, "check": "code-property", "checked": 1, "codewords": 2, '
+        '"l": 2, "n": 3, "status": "pass"}',
+    ),
+    "validity-image": (
+        ("--n", "3", "--l", "2"),
+        '{"check": "validity-image", "checked": 81, "image_size": 8, '
+        '"l": 2, "n": 3, "status": "pass"}',
+    ),
+    "expected-runs": (
+        ("--n", "2"),
+        '{"a": 1, "average": "3/2", "check": "expected-runs", "checked": 4, '
+        '"formula": "3/2", "n": 2, "status": "pass"}',
+    ),
+    "tail-bound": (
+        ("--n", "3", "--l", "2"),
+        '{"a": 2, "bound": 7.284082891040273, "check": "tail-bound", '
+        '"checked": 1, "count": 2, "n": 3, "status": "pass"}',
+    ),
+    "sticky-size": (
+        ("--n", "3"),
+        '{"check": "sticky-size", "checked": 24, "n": 3, "status": "pass"}',
+    ),
+    "sphere-packing": (
+        ("--n", "3", "--l", "2"),
+        '{"check": "sphere-packing", "checked": 6, "exact": true, '
+        '"free_words": 2, "l": 2, "n": 3, "packing_size": 4, '
+        '"status": "pass", "total_size": 6, "weighted_sum": "4"}',
+    ),
+}
+
+
 class TestVerify:
     def test_ball_equivalence_passes(self, capsys):
         code, out, _ = run(
@@ -226,6 +281,13 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    def test_tail_bound_default_thresholds(self, capsys):
+        # without --l, tail-bound runs a = 1, 2, 3 wherever a <= n
+        code, out, _ = run(capsys, "verify", "tail-bound", "--n", "2..3")
+        assert code == 0
+        cells = [(r["n"], r["a"]) for r in map(json.loads, out.splitlines())]
+        assert cells == [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+
     def test_every_cell_skipped_is_usage_error(self, capsys):
         # a > n for every cell: tail-bound produces no record
         code, out, _ = run(capsys, "verify", "tail-bound", "--n", "3", "--l", "5")
@@ -253,10 +315,12 @@ class TestVerify:
             ("reconstruction", "--n", "1", "--l", "2"),
             ("reconstruction", "--n", "0..1", "--l", "2"),
             ("code-property", "--n", "1", "--l", "1"),
+            ("sticky-size", "--n", "0"),
         ],
     )
     def test_nothing_checked_is_usage_error(self, capsys, args):
-        # every word's ball is a singleton / every code has one word
+        # every word's ball is a singleton / every code has one word /
+        # the empty word has no run length to check
         code, out, err = run(capsys, "verify", *args)
         assert code == 2
         assert out == ""
@@ -298,9 +362,78 @@ class TestVerify:
         # that it can be read back and replayed
         params = nanoread.CodeParams(n=4, window=2, residue=0)
         res = oracle.verify_code_property(params, list(oracle.all_words(4)))
-        rec = json.loads(json.dumps(cli._result_record("code-property", 4, 2, res)))
+        rec = json.loads(
+            json.dumps(cli._result_record("code-property", {"n": 4, "l": 2}, res))
+        )
         assert rec["status"] == "fail"
         assert rec["counterexample"] == {"pair": [[0, 0, 0, 1], [0, 0, 1, 0]]}
+
+    @pytest.mark.parametrize("check", list(RECORDS))
+    def test_record_shape(self, capsys, check):
+        # every check's record: check, cell keys, status, checked and
+        # its details as JSON values
+        args, first = RECORDS[check]
+        code, out, _ = run(capsys, "verify", check, *args)
+        assert code == 0
+        assert out.splitlines()[0] == first
+
+    def test_record_shapes_cover_every_check(self):
+        assert list(RECORDS) == list(cli.VERIFY_CHECKS)
+
+    @pytest.mark.parametrize(
+        "args, module, name, fake",
+        [
+            pytest.param(
+                ("expected-runs", "--n", "3"), "bounds", "expected_runs",
+                lambda n, a: Fraction(0), id="expected-runs",
+            ),
+            pytest.param(
+                ("tail-bound", "--n", "4"), "bounds", "tail_count",
+                lambda n, a: 1 << n, id="tail-bound",
+            ),
+            pytest.param(
+                ("sticky-size", "--n", "3"), "oracle", "rho_geq",
+                lambda x, r: -1, id="sticky-size",
+            ),
+            pytest.param(
+                ("sphere-packing", "--n", "4", "--l", "2"), "bounds", "weighted_sum",
+                lambda n, l: Fraction(1), id="sphere-packing",
+            ),
+        ],
+    )
+    def test_planted_fault_is_a_json_counterexample(
+        self, capsys, monkeypatch, args, module, name, fake
+    ):
+        target = oracle if module == "oracle" else oracle.bounds
+        monkeypatch.setattr(target, name, fake)
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert all(r["status"] == "fail" and r["counterexample"] for r in records)
+        assert f"0/{len(records)} passed" in err
+
+    def test_exact_only_drops_the_inconclusive_record(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "sphere-packing", "--n", "7..9", "--l", "2",
+            "--exact-only",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["n"], r["exact"], r["status"]) for r in records] == [
+            (7, True, "pass"),
+            (8, True, "pass"),
+        ]
+        assert err == "verify sphere-packing: 2/2 passed\n"
+
+    def test_exact_only_keeps_a_failing_greedy_record(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle.bounds, "weighted_sum", lambda n, l: Fraction(1))
+        code, out, _ = run(
+            capsys, "verify", "sphere-packing", "--n", "9", "--l", "2", "--exact-only"
+        )
+        assert code == 1
+        [record] = [json.loads(line) for line in out.splitlines()]
+        assert (record["exact"], record["status"]) == (False, "fail")
+        assert len(record["counterexample"]["witness"]) == record["packing_size"]
 
     def test_readme_lists_every_check(self):
         text = " ".join(README.read_text().split())

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -266,7 +267,69 @@ class TestDecoderAndReconstruction:
             verify_validity_image(n, window)
 
 
-FANNED = ("verify_decoder", "verify_reconstruction", "verify_ball_equivalence")
+class TestClaimChecks:
+    """The four claim checks: each passes at small n, and a planted
+    fault gives ok False with a counterexample that is plain JSON."""
+
+    @staticmethod
+    def _fails_as_json(res):
+        assert res.ok is False
+        return json.loads(json.dumps(res.counterexample))
+
+    def test_passing(self):
+        for n in range(1, 7):
+            for a in range(1, n + 1):
+                assert oracle.verify_expected_runs(n, a).checked == 1 << n
+                assert oracle.verify_tail_bound(n, a).ok
+            assert oracle.verify_sticky_size(n).checked == n << n
+        res = oracle.verify_expected_runs(4, 2)
+        assert res.ok and res.detail == {"average": 1, "formula": 1}
+        assert oracle.verify_sticky_size(0) == oracle.CheckResult(ok=True, checked=0)
+
+    def test_tail_bound_needs_a_at_most_n(self):
+        with pytest.raises(ValueError):
+            oracle.verify_tail_bound(3, 4)
+
+    def test_expected_runs_fault(self, monkeypatch):
+        monkeypatch.setattr(oracle.bounds, "expected_runs", lambda n, a: Fraction(1))
+        res = oracle.verify_expected_runs(4, 1)
+        assert self._fails_as_json(res) == {"histogram": [0, 2, 6, 6, 2]}
+        assert res.detail == {"average": Fraction(5, 2), "formula": 1}
+
+    def test_tail_bound_fault(self, monkeypatch):
+        monkeypatch.setattr(oracle.bounds, "tail_count", lambda n, a: 1 << n)
+        res = oracle.verify_tail_bound(4, 2)
+        assert self._fails_as_json(res) == {"count": 16, "bound": res.detail["bound"]}
+        assert res.detail["bound"] < 16
+
+    def test_sticky_size_fault(self, monkeypatch):
+        real = oracle.sticky_ball
+
+        def sticky_ball(x, r):
+            ball = real(x, r)
+            return ball | {("planted",)} if (x, r) == ((0, 1, 1), 2) else ball
+
+        monkeypatch.setattr(oracle, "sticky_ball", sticky_ball)
+        res = oracle.verify_sticky_size(3)
+        assert self._fails_as_json(res) == {"word": [0, 1, 1], "r": 2}
+        assert res.checked == 3 * 3 + 2  # (0,1,1) is the fourth word
+
+    def test_sphere_packing_fault(self, monkeypatch):
+        monkeypatch.setattr(oracle.bounds, "weighted_sum", lambda n, l: Fraction(1))
+        res = oracle.verify_sphere_packing(4, 2)
+        witness = self._fails_as_json(res)["witness"]
+        assert [tuple(x) for x in witness] == list(exact_max_sticky_code(4, 2).witness)
+        assert res.checked == 14 and res.detail["exact"]
+
+    def test_sphere_packing_past_exact_search(self, monkeypatch):
+        # a greedy code under the bound decides nothing; over it, it fails
+        res = oracle.verify_sphere_packing(9, 2)
+        assert res.ok is None and res.counterexample is None
+        monkeypatch.setattr(oracle.bounds, "weighted_sum", lambda n, l: Fraction(1))
+        assert oracle.verify_sphere_packing(9, 2).ok is False
+
+
+FANNED = ("verify_decoder", "verify_reconstruction")
 # the verify-sweep cells, and one larger
 SWEEP = [(n, l) for l in (2, 3) for n in range(l, 12)] + [(12, 2)]
 
@@ -337,7 +400,7 @@ class TestFanOut:
         thread = threading.Thread(target=release.wait, args=(10,))
         thread.start()
         try:
-            assert verify_ball_equivalence(10, 2).ok
+            assert verify_reconstruction(10, 2).ok
         finally:
             release.set()
             thread.join(10)
