@@ -12,6 +12,7 @@ from .balls import (
 from .bounds import (
     BoundReport,
     bound_report,
+    bound_table,
     expected_runs,
     redundancy_lower_bound,
     tail_count,
@@ -59,6 +60,7 @@ __all__ = [
     "all_words",
     "best_residue",
     "bound_report",
+    "bound_table",
     "confusable",
     "decode",
     "deletion_ball",

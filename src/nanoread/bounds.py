@@ -3,10 +3,13 @@
 All combinatorial quantities are exact integers or fractions, taken
 from the run histogram below, which counts words instead of listing
 them: a transfer-matrix count whose count vectors are each packed into
-one int of fixed-width slots, so each of its n - 1 steps is O(a) int
-additions and shifts.  A bound report or packing chain builds its
-histogram once and takes every field from it.  Only the closed-form
-redundancy bound uses floating point, since it mixes logs and exp.
+one int of fixed-width slots.  Its states are a ring of the a - 1
+"last run shorter than a" vectors and one "long run" vector, so each of
+its n - 1 steps is one sum over the states, one shift and one addition.
+A bound report or packing chain builds its histogram once and takes
+every field from it; a bound table steps one sweep per window through
+all its rows.  Only the closed-form redundancy bound uses floating
+point, since it mixes logs and exp.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
+from operator import mul
+from typing import Iterable, Iterator
 
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
@@ -25,6 +31,14 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
     r.  Appending a bit either starts a new run (every state goes to
     length 1) or extends the last one (length c goes to c + 1, and the
     run is counted, a one-place shift of its vector, when it reaches a).
+
+    The a - 1 states of a last run shorter than a form a ring, beside
+    one long-run state.  A step sums every state into ``total``, adds
+    the oldest ring state, the one reaching length a, shifted one place
+    to the long state, and overwrites that ring slot with ``total``, the
+    new length-1 state; the ring index moves on by one.  At a = 1 every
+    run counts as it starts, so the long state is the only one and a
+    step adds it to itself shifted.
 
     Each count vector is packed into one int, entry r in the r-th slot
     of ``8 * ((n + 8) // 8)`` bits.  A count never exceeds 2^n, which
@@ -39,25 +53,71 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
         raise ValueError("word length must be >= 0")
     if n == 0:
         return [1]
-    size = n // a + 1
-    slot_bytes = (n + 8) // 8
+    slot_bytes = _slot_bytes(n)
     shift = 8 * slot_bytes
-    # by_run[c - 1]: packed vector of the words whose last run has
-    # capped length c; both one-bit words end in a run of length 1,
-    # counted when a == 1
-    by_run = [0] * a
-    by_run[0] = 2 << (shift if a == 1 else 0)
-    for _ in range(n - 1):
-        nxt = [sum(by_run)] + by_run[:-1]
-        # the vector now in state a holds runs that just reached a (one
-        # more run each) plus the runs already capped at a
-        nxt[-1] = (nxt[-1] << shift) + by_run[-1]
-        by_run = nxt
-    packed = sum(by_run).to_bytes(size * slot_bytes, "little")
+    ring, long_ = _start(a, shift)
+    long_ = _advance(ring, long_, 1, n - 1, shift)
+    return _unpack(sum(ring, long_), n // a + 1, slot_bytes)
+
+
+def _slot_bytes(n: int) -> int:
+    """Bytes per packed slot: room for a count up to 2^n."""
+    return (n + 8) // 8
+
+
+def _histograms(a: int, ks: Iterable[int], slot_bytes: int) -> Iterator[list[int]]:
+    """``rho_geq_histogram(k, a)`` for each k in ks, from one sweep.
+
+    The sweep steps on from the last k; it starts again only where k
+    goes down.  Every k must be below 8 * slot_bytes.
+    """
+    shift = 8 * slot_bytes
+    k = 0
+    for target in ks:
+        if target == 0:
+            yield [1]
+            continue
+        if target < k or k == 0:
+            k, (ring, long_) = 1, _start(a, shift)
+        long_ = _advance(ring, long_, k, target - k, shift)
+        k = target
+        yield _unpack(sum(ring, long_), k // a + 1, slot_bytes)
+
+
+def _start(a: int, shift: int) -> tuple[list[int], int]:
+    """The ring and long-run state of the two one-bit words."""
+    ring = [0] * (a - 1)
+    if not ring:  # a == 1: their one run already counts
+        return ring, 2 << shift
+    ring[0] = 2
+    return ring, 0
+
+
+def _unpack(packed: int, size: int, slot_bytes: int) -> list[int]:
+    """The first ``size`` slots of a packed count vector."""
+    data = packed.to_bytes(size * slot_bytes, "little")
     return [
-        int.from_bytes(packed[i : i + slot_bytes], "little")
-        for i in range(0, len(packed), slot_bytes)
+        int.from_bytes(data[i : i + slot_bytes], "little")
+        for i in range(0, len(data), slot_bytes)
     ]
+
+
+def _advance(ring: list[int], long_: int, k: int, steps: int, shift: int) -> int:
+    """Step the packed states of the length-k words by ``steps`` bits.
+
+    ``ring`` is updated in place; the new long-run state is returned.
+    After k bits the next slot to reach length a is ``ring[k % (a - 1)]``.
+    """
+    if not ring:  # a == 1
+        for _ in range(steps):
+            long_ += long_ << shift
+        return long_
+    first = k % len(ring)
+    for j in islice(cycle(range(len(ring))), first, first + steps):
+        total = sum(ring, long_)
+        long_ += ring[j] << shift
+        ring[j] = total
+    return long_
 
 
 def redundancy_lower_bound(n: int, window: int) -> float:
@@ -98,8 +158,10 @@ def _weighted_sum(hist: list[int]) -> Fraction:
     Taken over the common denominator lcm(1..R), R the largest r, so
     the sum is integer arithmetic with one reduction at the end.
     """
-    den = math.lcm(*range(1, len(hist)))
-    return Fraction(sum(k * (den // max(r, 1)) for r, k in enumerate(hist)), den)
+    size = len(hist)
+    den = math.lcm(*range(1, size))
+    weighted = sum(map(mul, hist[1:], map(den.__floordiv__, range(1, size))))
+    return Fraction(weighted + hist[0] * den, den)
 
 
 def tail_count(n: int, a: int) -> int:
@@ -113,8 +175,12 @@ def tail_count(n: int, a: int) -> int:
 
 def _tail_count(hist: list[int], n: int, a: int) -> int:
     """``tail_count(n, a)`` from ``hist = rho_geq_histogram(n, a)``."""
-    shift = 2 ** (a + 1)
-    return sum(k for r, k in enumerate(hist) if r * shift < n - 2 * a + 4)
+    return sum(hist[: _tail_len(n, a)])
+
+
+def _tail_len(n: int, a: int) -> int:
+    """The least r >= 0 at or above the cutoff (n - 2a + 4) / 2^(a+1)."""
+    return max(0, -((2 * a - 4 - n) // 2 ** (a + 1)))
 
 
 def expected_runs(n: int, a: int) -> Fraction:
@@ -136,13 +202,12 @@ def packing_chain(n: int, window: int) -> tuple[Fraction, Fraction, float]:
     hist = _output_histogram(n, window)
     ws = _weighted_sum(hist)
 
-    shift = 2 ** (window + 1)
-    cutoff_num = n - 2 * window + 3  # threshold times 2^(window+1)
-    tail = _tail_count(hist, n - 1, window)  # words with r * shift < cutoff_num
-    t = -((-cutoff_num) // shift)  # ceil of the cutoff
-    bulk = sum(hist) - tail  # words with r >= t
+    t = _tail_len(n - 1, window)
+    tail = sum(hist[:t])  # words below the cutoff
+    bulk = sum(hist[t:])  # words with r >= t
     split = Fraction(tail) + Fraction(bulk, t) if t >= 1 else Fraction(tail + bulk)
 
+    cutoff_num = n - 2 * window + 3  # threshold times 2^(window+1)
     if cutoff_num <= 0:
         return ws, split, math.inf
     try:
@@ -194,18 +259,40 @@ def bound_report(n: int, window: int) -> BoundReport:
     ``packing_size`` of ``oracle.exact_max_sticky_code``, not a code for
     the read channel.
     """
+    return _report(n, window, _output_histogram(n, window))
+
+
+def bound_table(ns: Iterable[int], windows: Iterable[int]) -> Iterator[BoundReport]:
+    """``bound_report(n, window)`` for each n in ns, and within it each window.
+
+    One run-histogram sweep per window serves every row: its slots are
+    sized for the largest n, and it steps on from one n to the next, so
+    a table up to N costs O(N) steps per window instead of O(N) per
+    row.  Bad arguments raise here, before any row is built.
+    """
+    ns, windows = list(ns), list(windows)
+    if any(n < 1 for n in ns):
+        raise ValueError("n must be >= 1")
+    if any(w < 1 for w in windows):
+        raise ValueError("run-length threshold must be >= 1")
+    ks = [n - 1 for n in ns]
+    slot_bytes = _slot_bytes(max(ks, default=0))
+    sweeps = [_histograms(w, ks, slot_bytes) for w in windows]
+    return (
+        _report(n, w, next(sweep)) for n in ns for w, sweep in zip(windows, sweeps)
+    )
+
+
+def _report(n: int, window: int, hist: list[int]) -> BoundReport:
+    """The row at (n, window) from ``hist = rho_geq_histogram(n - 1, window)``."""
     lower = None
     if window >= 2 and n > 2 * window:
         lower = redundancy_lower_bound(n, window)
-    hist = _output_histogram(n, window)
-    ws = _weighted_sum(hist)
-    tail = _tail_count(hist, n - 1, window) if n >= 2 else None
-    exp_runs = expected_runs(n, window) if 1 <= window <= n else None
     return BoundReport(
         n=n,
         window=window,
         lower_bound_bits=lower,
-        weighted_sum=ws,
-        tail_count=tail,
-        expected_runs=exp_runs,
+        weighted_sum=_weighted_sum(hist),
+        tail_count=_tail_count(hist, n - 1, window) if n >= 2 else None,
+        expected_runs=expected_runs(n, window) if 1 <= window <= n else None,
     )

@@ -257,7 +257,9 @@ VERIFY_CHECKS = {
     "ball-equivalence": (
         oracle.verify_ball_equivalence, _by_window(skip=lambda n, l: n < 1)
     ),
-    "intersection": (oracle.verify_intersection_bound, _by_window()),
+    "intersection": (
+        oracle.verify_intersection_bound, _by_window(skip=lambda n, l: n + l <= 1)
+    ),
     "reconstruction": (oracle.verify_reconstruction, _by_window()),
     "decoder": (oracle.verify_decoder, _by_window(skip=lambda n, l: n < l)),
     "code-property": (_code_property, _code_cells),
@@ -265,7 +267,9 @@ VERIFY_CHECKS = {
     "expected-runs": (oracle.verify_expected_runs, _run_cells),
     "tail-bound": (oracle.verify_tail_bound, _tail_cells),
     "sticky-size": (oracle.verify_sticky_size, _word_cells),
-    "sphere-packing": (oracle.verify_sphere_packing, _by_window()),
+    "sphere-packing": (
+        oracle.verify_sphere_packing, _by_window(skip=lambda n, l: n < 1)
+    ),
 }
 
 
@@ -303,19 +307,19 @@ def cmd_bounds(args) -> int:
     ns = _parse_range(args.n)
     ls = _parse_range(args.l)
     rows = []
-    for n in ns:
-        for l in ls:
-            row = bounds.bound_report(n, l).to_dict()
-            if l <= n:
-                residue, size = code.best_residue(n, l)
-                row["best_residue"] = residue
-                row["best_size"] = size
-                row["best_redundancy_bits"] = n - math.log2(size)
-            else:
-                row["best_residue"] = None
-                row["best_size"] = None
-                row["best_redundancy_bits"] = None
-            rows.append(row)
+    for report in bounds.bound_table(ns, ls):
+        n, l = report.n, report.window
+        row = report.to_dict()
+        if l <= n:
+            residue, size = code.best_residue(n, l)
+            row["best_residue"] = residue
+            row["best_size"] = size
+            row["best_redundancy_bits"] = n - math.log2(size)
+        else:
+            row["best_residue"] = None
+            row["best_size"] = None
+            row["best_redundancy_bits"] = None
+        rows.append(row)
     if not rows:
         raise ValueError("bounds: empty --n or --l range")
 

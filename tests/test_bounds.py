@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from nanoread.balls import rho_geq, sticky_ball
 from nanoread import oracle
 from nanoread.bounds import (
+    _histograms,
+    _slot_bytes,
     bound_report,
+    bound_table,
     expected_runs,
     packing_chain,
     redundancy_lower_bound,
@@ -91,6 +94,21 @@ class TestRhoGeqHistogram:
         assert rep.weighted_sum == weighted_sum(n, a)
         assert rep.tail_count == tail_count(n - 1, a)
 
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_sweep_independent_of_slot_width(self, a):
+        # the table's sweep steps one ring through every k, in slots sized
+        # for a larger n than k
+        for top in (200, 1000):
+            sweep = _histograms(a, range(201), _slot_bytes(top))
+            for k, hist in enumerate(sweep):
+                assert hist == rho_geq_histogram(k, a), (k, a, top)
+
+    def test_sweep_starts_again_where_k_goes_down(self):
+        ks = [9, 4, 4, 0, 17, 1, 30]
+        for a in range(1, 7):
+            got = list(_histograms(a, ks, _slot_bytes(max(ks))))
+            assert got == [rho_geq_histogram(k, a) for k in ks], a
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             rho_geq_histogram(4, 0)
@@ -132,6 +150,20 @@ class TestWeightedSum:
                     r = rho_geq(y, w)
                     total += Fraction(1, r) if r else Fraction(1)
                 assert total >= 1
+
+
+class TestPerEntrySums:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 400), a=st.integers(1, 8))
+    def test_match_per_entry_evaluation(self, n, a):
+        # hist[r] / r summed entry by entry, and the entries whose r lies
+        # below the cutoff, compared as exact fractions
+        hist = rho_geq_histogram(n - 1, a)
+        direct = sum(Fraction(k, r) if r else Fraction(k) for r, k in enumerate(hist))
+        assert weighted_sum(n, a) == direct
+        hist = rho_geq_histogram(n, a)
+        cutoff = Fraction(n - 2 * a + 4, 2 ** (a + 1))
+        assert tail_count(n, a) == sum(k for r, k in enumerate(hist) if r < cutoff)
 
 
 class TestTailCount:
@@ -216,3 +248,27 @@ class TestBoundReport:
         d = bound_report(8, 2).to_dict()
         assert d["n"] == 8 and d["window"] == 2
         assert isinstance(d["weighted_sum"], str)
+
+
+class TestBoundTable:
+    def test_rows_equal_single_reports(self):
+        ns, windows = range(1, 65), range(1, 6)
+        rows = list(bound_table(ns, windows))
+        expected = [bound_report(n, w) for n in ns for w in windows]
+        assert rows == expected
+        assert [r.to_dict() for r in rows] == [r.to_dict() for r in expected]
+
+    def test_any_order_and_repeats(self):
+        ns, windows = [30, 5, 9, 9, 1, 2, 120], [3, 1, 3, 7]
+        rows = list(bound_table(ns, windows))
+        assert rows == [bound_report(n, w) for n in ns for w in windows]
+
+    def test_empty_ranges(self):
+        assert list(bound_table([], [2])) == []
+        assert list(bound_table([5], [])) == []
+
+    @pytest.mark.parametrize("ns, windows", [([3, 0, 2], [1, 2]), ([3], [1, 0])])
+    def test_rejects_bad_args_before_any_row(self, ns, windows):
+        # raised by the call itself, so a caller prints no partial table
+        with pytest.raises(ValueError):
+            bound_table(ns, windows)

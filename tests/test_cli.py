@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -8,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import nanoread
-from nanoread import cli, oracle
+from nanoread import bounds, cli, code, oracle
 from nanoread.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -310,6 +313,32 @@ class TestVerify:
         assert [json.loads(line)["n"] for line in out.splitlines()] == [1, 2]
 
     @pytest.mark.parametrize(
+        "check, l, ns",
+        [
+            # the read vector of the empty word at l = 1 is empty
+            ("intersection", "1", [1, 2]),
+            # weighted_sum needs a word to delete from
+            ("sphere-packing", "2", [1, 2, 3]),
+        ],
+    )
+    def test_undefined_n0_cell_is_skipped(self, capsys, check, l, ns):
+        code, out, err = run(capsys, "verify", check, "--n", "0", "--l", l)
+        assert code == 2
+        assert out == ""
+        assert "no (n, l) in range produced a record" in err
+        code, out, _ = run(capsys, "verify", check, "--n", f"0..{ns[-1]}", "--l", l)
+        assert code == 0
+        assert [json.loads(line)["n"] for line in out.splitlines()] == ns
+
+    def test_intersection_keeps_the_defined_n0_cell(self, capsys):
+        code, out, _ = run(capsys, "verify", "intersection", "--n", "0", "--l", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "check": "intersection", "checked": 1, "l": 2, "max_overlap": 0,
+            "n": 0, "status": "pass",
+        }
+
+    @pytest.mark.parametrize(
         "args",
         [
             ("reconstruction", "--n", "1", "--l", "2"),
@@ -483,6 +512,56 @@ class TestBounds:
         row = json.loads(out)
         assert row["weighted_sum_float"] is None
         assert row["weighted_sum"] is not None and row["tail_count"] is not None
+
+    @staticmethod
+    def per_row(ns, windows):
+        rows = []
+        for n in ns:
+            for l in windows:
+                row = bounds.bound_report(n, l).to_dict()
+                if l <= n:
+                    residue, size = code.best_residue(n, l)
+                    row.update(
+                        best_residue=residue,
+                        best_size=size,
+                        best_redundancy_bits=n - math.log2(size),
+                    )
+                else:
+                    row.update(
+                        best_residue=None, best_size=None, best_redundancy_bits=None
+                    )
+                rows.append(row)
+        return rows
+
+    def test_json_table_equals_per_row_reports(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--n", "1..40", "--l", "1..5")
+        assert code == 0
+        rows = self.per_row(range(1, 41), range(1, 6))
+        assert out == "".join(
+            json.dumps(row, sort_keys=True, default=str) + "\n" for row in rows
+        )
+
+    def test_csv_table_equals_per_row_reports(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--n", "1..40", "--l", "1..5", "--format", "csv"
+        )
+        assert code == 0
+        rows = self.per_row(range(1, 41), range(1, 6))
+        expected = io.StringIO()
+        writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        assert out == expected.getvalue()
+
+    @pytest.mark.parametrize(
+        "n, l", [("0..2", "1..2"), ("3", "0..1")], ids=["n0", "l0"]
+    )
+    def test_bad_cell_prints_no_partial_table(self, capsys, n, l):
+        code, out, err = run(capsys, "bounds", "--n", n, "--l", l)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_small_n_leaves_lower_bound_blank(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "4", "--l", "2")
