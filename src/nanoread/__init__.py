@@ -1,7 +1,6 @@
 """Sliding-window read channel: transform, deletion code, reconstruction."""
 
 from .balls import (
-    confusable,
     deletion_ball,
     restricted_ball,
     rho_geq,
@@ -61,7 +60,6 @@ __all__ = [
     "best_residue",
     "bound_report",
     "bound_table",
-    "confusable",
     "decode",
     "deletion_ball",
     "disagreement_span",

@@ -1,10 +1,10 @@
-"""Single-deletion error balls, run statistics, and confusability."""
+"""Single-deletion error balls and run statistics."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import LengthMismatchError, read_vector
+from .core import read_vector
 
 Seq = tuple[int, ...]
 
@@ -78,27 +78,3 @@ def sticky_read_images(x: Sequence[int], window: int) -> set[Seq]:
         out.add(read_vector(y, window))
     return out
 
-
-def confusable(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Whether u and v differ exactly in a swapped two-symbol alternation.
-
-    True iff u = a c b and v = a c' b where |c| >= 2 and {c, c'} are the
-    two alternations of some pair of distinct symbols.  Linear scan: the
-    differing positions must be contiguous and alternate in both words.
-    """
-    if len(u) != len(v):
-        raise LengthMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    diffs = [i for i in range(len(u)) if u[i] != v[i]]
-    if len(diffs) < 2:
-        return False
-    i, j = diffs[0], diffs[-1]
-    if len(diffs) != j - i + 1:
-        return False
-    alpha, beta = u[i], v[i]
-    for k in range(i, j + 1):
-        even = (k - i) % 2 == 0
-        if u[k] != (alpha if even else beta):
-            return False
-        if v[k] != (beta if even else alpha):
-            return False
-    return True

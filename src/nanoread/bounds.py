@@ -6,10 +6,14 @@ them: a transfer-matrix count whose count vectors are each packed into
 one int of fixed-width slots.  Its states are a ring of the a - 1
 "last run shorter than a" vectors and one "long run" vector, so each of
 its n - 1 steps is one sum over the states, one shift and one addition.
-A bound report or packing chain builds its histogram once and takes
-every field from it; a bound table steps one sweep per window through
-all its rows.  Only the closed-form redundancy bound uses floating
-point, since it mixes logs and exp.
+One routine, ``_histograms``, steps every sweep: a bound table's, one
+per window through all its rows, and the one-row sweep behind
+``rho_geq_histogram``, from which a bound report or packing chain
+takes every field.  It clamps the threshold to the slot width in bits,
+which no run in the sweep reaches, so a threshold far past n costs no
+more ring states than that width; it unpacks with ``core._unpack``.
+Only the closed-form redundancy bound uses floating point, since it
+mixes logs and exp.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from fractions import Fraction
 from itertools import cycle, islice
 from operator import mul
 from typing import Iterable, Iterator
+
+from .core import _unpack
 
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
@@ -44,24 +50,22 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
     of ``8 * ((n + 8) // 8)`` bits.  A count never exceeds 2^n, which
     fits in a slot, so no slot carries into the next: adding two vectors
     is one int addition and counting one more run is one left shift by
-    a slot.  The n - 1 steps each take O(a) int operations, and the
-    packed result is unpacked once, through its bytes.
+    a slot.  The n - 1 steps each take O(a) int operations, with a
+    clamped to the slot width in bits, and the packed result is
+    unpacked once, through its bytes.  A one-row sweep of
+    ``_histograms`` does the work.
     """
     if a < 1:
         raise ValueError("run-length threshold must be >= 1")
     if n < 0:
         raise ValueError("word length must be >= 0")
-    if n == 0:
-        return [1]
-    slot_bytes = _slot_bytes(n)
-    shift = 8 * slot_bytes
-    ring, long_ = _start(a, shift)
-    long_ = _advance(ring, long_, 1, n - 1, shift)
-    return _unpack(sum(ring, long_), n // a + 1, slot_bytes)
+    # run to its end: closing a suspended generator costs a GeneratorExit
+    [hist] = _histograms(a, [n], _count_slot_bytes(n))
+    return hist
 
 
-def _slot_bytes(n: int) -> int:
-    """Bytes per packed slot: room for a count up to 2^n."""
+def _count_slot_bytes(n: int) -> int:
+    """Bytes per packed count slot: room for a count up to 2^n."""
     return (n + 8) // 8
 
 
@@ -69,8 +73,11 @@ def _histograms(a: int, ks: Iterable[int], slot_bytes: int) -> Iterator[list[int
     """``rho_geq_histogram(k, a)`` for each k in ks, from one sweep.
 
     The sweep steps on from the last k; it starts again only where k
-    goes down.  Every k must be below 8 * slot_bytes.
+    goes down.  Every k must be below 8 * slot_bytes, so a above that
+    is clamped to it: no run reaches either threshold, and the
+    histogram [2^k] has k // a + 1 = 1 entry either way.
     """
+    a = min(a, 8 * slot_bytes)
     shift = 8 * slot_bytes
     k = 0
     for target in ks:
@@ -81,7 +88,7 @@ def _histograms(a: int, ks: Iterable[int], slot_bytes: int) -> Iterator[list[int
             k, (ring, long_) = 1, _start(a, shift)
         long_ = _advance(ring, long_, k, target - k, shift)
         k = target
-        yield _unpack(sum(ring, long_), k // a + 1, slot_bytes)
+        yield list(_unpack(sum(ring, long_), k // a + 1, slot_bytes))
 
 
 def _start(a: int, shift: int) -> tuple[list[int], int]:
@@ -91,15 +98,6 @@ def _start(a: int, shift: int) -> tuple[list[int], int]:
         return ring, 2 << shift
     ring[0] = 2
     return ring, 0
-
-
-def _unpack(packed: int, size: int, slot_bytes: int) -> list[int]:
-    """The first ``size`` slots of a packed count vector."""
-    data = packed.to_bytes(size * slot_bytes, "little")
-    return [
-        int.from_bytes(data[i : i + slot_bytes], "little")
-        for i in range(0, len(data), slot_bytes)
-    ]
 
 
 def _advance(ring: list[int], long_: int, k: int, steps: int, shift: int) -> int:
@@ -276,7 +274,7 @@ def bound_table(ns: Iterable[int], windows: Iterable[int]) -> Iterator[BoundRepo
     if any(w < 1 for w in windows):
         raise ValueError("run-length threshold must be >= 1")
     ks = [n - 1 for n in ns]
-    slot_bytes = _slot_bytes(max(ks, default=0))
+    slot_bytes = _count_slot_bytes(max(ks, default=0))
     sweeps = [_histograms(w, ks, slot_bytes) for w in windows]
     return (
         _report(n, w, next(sweep)) for n in ns for w, sweep in zip(windows, sweeps)

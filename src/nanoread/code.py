@@ -18,7 +18,7 @@ from .core import (
     Word,
     _deletion_source,
     _read_parities,
-    _word_of,
+    _word_bytes,
     all_words,
     read_vector,
 )
@@ -28,8 +28,9 @@ class DecodeFailure(ValueError):
     """No codeword is consistent with the received sequence."""
 
 
-class MalformedInputError(ValueError):
-    """Input cannot arise from a single deletion on any read vector."""
+class MalformedInputError(DecodeFailure):
+    """Input cannot arise from a single deletion on any read vector, so
+    no codeword explains it."""
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,18 @@ def _checksum(bits: Sequence[int], n: int) -> int:
     return sum(compress(range(1, len(bits) + 1), bits)) % (n + 1)
 
 
-def _levels_syndrome(levels: Sequence[int], n: int) -> int:
+def _levels_syndrome(levels: Sequence[int], window: int, n: int) -> int:
     """The checksum of the parities of the first n entries of a read
-    vector: the syndrome of its word."""
-    return _checksum([s % 2 for s in levels[:n]], n)
+    vector: the syndrome of its word.  Every entry must pack in the
+    window's slots, as a read vector's do."""
+    return _checksum(_read_parities(levels, window, n)[1], n)
 
 
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
     """Weighted checksum of the read vector's mod-2 prefix, mod n+1."""
     if len(x) != n:
         raise ValueError(f"word length {len(x)} != n = {n}")
-    return _levels_syndrome(read_vector(x, window), n)
+    return _levels_syndrome(read_vector(x, window), window, n)
 
 
 def is_member(x: Sequence[int], params: CodeParams) -> bool:
@@ -214,12 +216,12 @@ def _codeword(levels: tuple[int, ...], params: CodeParams, invalid: str) -> Word
     a legitimate read vector, and another when its word is not in the
     code.
     """
-    x = _word_of(levels, params.window, params.n)
+    x = _word_bytes(levels, params.window, params.n)
     if x is None:
         raise DecodeFailure(invalid)
-    if _levels_syndrome(levels, params.n) != params.residue:
+    if _levels_syndrome(levels, params.window, params.n) != params.residue:
         raise DecodeFailure("the read vector's word is not a codeword")
-    return x
+    return tuple(x)
 
 
 def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
@@ -234,7 +236,8 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     entry that does not pack (not an int in [0, 256^k)) is no deletion
     of a read vector.  The result is a codeword whose read vector is
     the input or one deletion of it; when no codeword is,
-    ``DecodeFailure`` or ``MalformedInputError`` is raised.
+    ``DecodeFailure`` is raised (``MalformedInputError``, its subclass,
+    for a gap no single deletion leaves).
     """
     candidate = tuple(candidate)
     n, window = params.n, params.window

@@ -15,6 +15,12 @@ are bits.  The decoder's vt path packs its read once and tests it
 against a recovered word's packed read vector with one xor and one
 shift comparison.  ``oracle.word_of`` keeps the per-entry recurrence as
 ground truth.
+
+Each job on the packed format has one owner here: ``_slot_bytes`` and
+``_pack`` pack, ``_unpack`` unpacks slots of any width (the run
+histograms of ``bounds`` use it too), and ``_read_parities`` takes the
+mod-2 prefix of a sequence off its packed bytes, for the code's
+checksum and for the decoder alike.
 """
 
 from __future__ import annotations
@@ -87,16 +93,24 @@ def _slot_bytes(entries: Sequence[int], k: int) -> bytes:
 
 def _pack(entries: Sequence[int], k: int) -> int:
     """Entry i in slot i, k bytes wide, of one int (see ``_slot_bytes``)."""
-    raw = bytes(entries) if k == 1 else _slot_bytes(entries, k)  # one call less
-    return int.from_bytes(raw, "little")
+    return int.from_bytes(_slot_bytes(entries, k), "little")
 
 
 def _unpack(value: int, slots: int, k: int) -> tuple[int, ...]:
-    """The first ``slots`` slots of value, k bytes each: _pack's inverse."""
+    """The first ``slots`` slots of value, k bytes each, little-endian:
+    _pack's inverse.
+
+    Any k >= 1 serves; the widths of ``_SLOT_FORMATS`` take one call,
+    any other one slice per slot.
+    """
     raw = value.to_bytes(k * slots, "little")
     if k == 1:
         return tuple(raw)
-    return struct.unpack(f"<{slots}{_SLOT_FORMATS[k]}", raw)
+    if k in _SLOT_FORMATS:
+        return struct.unpack(f"<{slots}{_SLOT_FORMATS[k]}", raw)
+    return tuple(
+        [int.from_bytes(raw[i : i + k], "little") for i in range(0, len(raw), k)]
+    )
 
 
 def _bit_bytes(x: Sequence[int]) -> bytes:
@@ -186,12 +200,6 @@ def _word_bytes(levels: Sequence[int], window: int, n: int) -> bytes | None:
     return low
 
 
-def _word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
-    """``_word_bytes`` as a tuple of bits."""
-    raw = _word_bytes(levels, window, n)
-    return None if raw is None else tuple(raw)
-
-
 def _read_parities(
     levels: Sequence[int], window: int, count: int
 ) -> tuple[int, bytes] | None:
@@ -244,7 +252,7 @@ def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:
         raise LengthMismatchError(
             f"candidate length {len(levels)} != n + window - 1 = {n + window - 1}"
         )
-    return _word_of(levels, window, n) is not None
+    return _word_bytes(levels, window, n) is not None
 
 
 # --- serialization -----------------------------------------------------

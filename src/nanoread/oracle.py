@@ -39,7 +39,6 @@ from .balls import (
 from .code import (
     CodeParams,
     DecodeFailure,
-    MalformedInputError,
     _levels_syndrome,
     decode,
     enumerate_code,
@@ -247,29 +246,6 @@ def vt_insert_bruteforce(
     return survivors.pop()
 
 
-def confusable_bruteforce(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Quadratic confusability test by trying every enclosed window."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v) or u == v:
-        return False
-    m = len(u)
-    for s in range(m - 1):
-        for e in range(s + 2, m + 1):
-            if u[:s] != v[:s] or u[e:] != v[e:]:
-                continue
-            alpha, beta = u[s], v[s]
-            if alpha == beta:
-                continue
-            ok = all(
-                u[k] == (alpha if (k - s) % 2 == 0 else beta)
-                and v[k] == (beta if (k - s) % 2 == 0 else alpha)
-                for k in range(s, e)
-            )
-            if ok:
-                return True
-    return False
-
-
 def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     """Compare the restricted ball of each read vector with the in-run
     deletion image set, both directions, over all words of length n.
@@ -473,7 +449,7 @@ def verify_decoder(n: int, window: int) -> CheckResult:
     codes: list[list[tuple[CodeParams, Word, Levels]]] = [[] for _ in params]
     for x in all_words(n):
         rv = read_vector(x, window)
-        a = _levels_syndrome(rv, n)
+        a = _levels_syndrome(rv, window, n)
         codes[a].append((params[a], x, rv))
 
     def check(items: list[tuple[CodeParams, Word, Levels]]) -> BlockResult:
@@ -483,7 +459,7 @@ def verify_decoder(n: int, window: int) -> CheckResult:
                 checked += 1
                 try:
                     decoded = decode(cand, p).word
-                except (DecodeFailure, MalformedInputError) as exc:
+                except DecodeFailure as exc:
                     found = {"error": _error(exc)}
                 else:
                     if decoded == x:

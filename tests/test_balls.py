@@ -1,9 +1,7 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nanoread.balls import (
-    confusable,
     deletion_ball,
     restricted_ball,
     rho_geq,
@@ -11,8 +9,8 @@ from nanoread.balls import (
     sticky_ball,
     sticky_read_images,
 )
-from nanoread.core import LengthMismatchError, read_vector
-from nanoread.oracle import all_words, confusable_bruteforce
+from nanoread.core import read_vector
+from nanoread.oracle import all_words
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=14).map(tuple)
 
@@ -101,47 +99,3 @@ class TestStickyReadImages:
                         read_vector(x, w), w
                     )
 
-
-class TestConfusable:
-    def test_whole_word_alternation(self):
-        assert confusable((0, 1, 0, 1), (1, 0, 1, 0))
-
-    def test_equal_words(self):
-        assert not confusable((1, 2, 1), (1, 2, 1))
-
-    def test_embedded_alternation(self):
-        assert confusable((1, 1, 2, 2, 2, 1, 0, 0), (1, 2, 1, 2, 2, 1, 0, 0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            confusable((0, 1), (0, 1, 0))
-
-    def test_matches_bruteforce(self):
-        import itertools
-
-        for m in (2, 3, 4, 5):
-            space = list(itertools.product(range(3), repeat=m))
-            for u in space:
-                for v in space:
-                    assert confusable(u, v) == confusable_bruteforce(u, v), (u, v)
-
-    def test_characterizes_double_overlap(self):
-        # over quaternary words: overlap of deletion balls is 2 exactly
-        # for confusable pairs at Hamming distance >= 2
-        import itertools
-
-        for q, m in ((3, 4), (4, 3)):
-            space = list(itertools.product(range(q), repeat=m))
-            for u, v in itertools.combinations(space, 2):
-                if sum(a != b for a, b in zip(u, v)) < 2:
-                    continue
-                both = len(deletion_ball(u) & deletion_ball(v)) == 2
-                assert both == confusable(u, v), (u, v)
-
-    def test_read_vectors_never_confusable(self):
-        for n in range(1, 9):
-            for w in (2, 3):
-                vecs = [read_vector(x, w) for x in all_words(n)]
-                for i in range(len(vecs)):
-                    for j in range(i + 1, len(vecs)):
-                        assert not confusable(vecs[i], vecs[j])

@@ -8,7 +8,7 @@ from nanoread.balls import rho_geq, sticky_ball
 from nanoread import oracle
 from nanoread.bounds import (
     _histograms,
-    _slot_bytes,
+    _count_slot_bytes,
     bound_report,
     bound_table,
     expected_runs,
@@ -99,15 +99,22 @@ class TestRhoGeqHistogram:
         # the table's sweep steps one ring through every k, in slots sized
         # for a larger n than k
         for top in (200, 1000):
-            sweep = _histograms(a, range(201), _slot_bytes(top))
+            sweep = _histograms(a, range(201), _count_slot_bytes(top))
             for k, hist in enumerate(sweep):
                 assert hist == rho_geq_histogram(k, a), (k, a, top)
 
     def test_sweep_starts_again_where_k_goes_down(self):
         ks = [9, 4, 4, 0, 17, 1, 30]
         for a in range(1, 7):
-            got = list(_histograms(a, ks, _slot_bytes(max(ks))))
+            got = list(_histograms(a, ks, _count_slot_bytes(max(ks))))
             assert got == [rho_geq_histogram(k, a) for k in ks], a
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 60])
+    def test_threshold_past_n(self, n):
+        # no run reaches a > n, whether or not a passes the slot width
+        # the sweep clamps it to
+        for a in (n + 1, 8 * _count_slot_bytes(n), 10**6):
+            assert rho_geq_histogram(n, a) == [2**n], (n, a)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -260,6 +267,11 @@ class TestBoundTable:
 
     def test_any_order_and_repeats(self):
         ns, windows = [30, 5, 9, 9, 1, 2, 120], [3, 1, 3, 7]
+        rows = list(bound_table(ns, windows))
+        assert rows == [bound_report(n, w) for n in ns for w in windows]
+
+    def test_threshold_far_past_n(self):
+        ns, windows = [5, 60], [2, 10**6]
         rows = list(bound_table(ns, windows))
         assert rows == [bound_report(n, w) for n in ns for w in windows]
 

@@ -38,7 +38,29 @@ def wide_words(w):
     )
 
 
+def syndrome_by_definition(x, w):
+    """Sum of i * (rv_i mod 2) mod n+1 over the first n entries rv_i of
+    the read vector, each taken as the window sum of x[i-w+1 .. i]."""
+    n = len(x)
+    return sum(i * (sum(x[max(0, i - w) : i]) % 2) for i in range(1, n + 1)) % (n + 1)
+
+
 class TestSyndrome:
+    def test_matches_definition_exhaustive(self):
+        for w in (1, 2, 3, 4):
+            for n in range(11):
+                for x in all_words(n):
+                    assert syndrome(x, n, w) == syndrome_by_definition(x, w), (x, w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_matches_definition_wide_windows(self, data):
+        # window sums reach w, so a parity read off the wrong byte of a
+        # wide slot shows
+        w = data.draw(st.sampled_from(WIDE_WINDOWS))
+        x = data.draw(wide_words(w))
+        assert syndrome(x, len(x), w) == syndrome_by_definition(x, w)
+
     def test_reference_word(self):
         # mod-2 prefix (1,1,0,0,0,1): 1 + 2 + 6 = 9 = 2 (mod 7)
         assert syndrome((1, 0, 1, 1, 0, 0), 6, 3) == 2
@@ -145,6 +167,10 @@ class TestImmediateCorrect:
     def test_oversized_gap_rejected(self):
         with pytest.raises(MalformedInputError):
             immediate_correct((0, 3))
+
+    def test_malformed_input_is_a_decode_failure(self):
+        # a malformed read is one that no codeword explains
+        assert issubclass(MalformedInputError, DecodeFailure)
 
     @pytest.mark.parametrize("bad", [None, "1", 1j])
     def test_non_numeric_entry_rejected(self, bad):

@@ -9,7 +9,7 @@ from nanoread.core import (
     MAX_ENUM_N,
     LengthMismatchError,
     ResourceLimitError,
-    _word_of,
+    _word_bytes,
     format_levels,
     format_word,
     is_valid_read_vector,
@@ -45,6 +45,12 @@ def window_sums(x, w):
         sum(x[j] for j in range(max(0, i - w + 1), min(i + 1, len(x))))
         for i in range(len(x) + w - 1)
     )
+
+
+def _word(levels, w, n):
+    """``_word_bytes`` as a tuple of bits, or None."""
+    raw = _word_bytes(levels, w, n)
+    return None if raw is None else tuple(raw)
 
 
 class TestAllWords:
@@ -187,17 +193,17 @@ class TestValidity:
         for w in (1, 2, 3, 4):
             for n in range(0, 9 - w):
                 for c in itertools.product(range(-1, w + 2), repeat=n + w - 1):
-                    assert _word_of(c, w, n) == oracle.word_of(c, w, n), (c, w)
+                    assert _word(c, w, n) == oracle.word_of(c, w, n), (c, w)
 
     @settings(max_examples=40, deadline=None)
     @given(run_words, st.sampled_from(WIDE_WINDOWS), st.data())
     def test_word_of_matches_oracle_wide_windows(self, x, w, data):
         n = len(x)
         c = list(read_vector(x, w))
-        assert _word_of(tuple(c), w, n) == x
+        assert _word(tuple(c), w, n) == x
         i = data.draw(st.integers(0, len(c) - 1))
         c[i] = data.draw(st.sampled_from([c[i] - 1, c[i] + 1, -1, 256, 257, 1 << 16]))
-        assert _word_of(tuple(c), w, n) == oracle.word_of(c, w, n)
+        assert _word(tuple(c), w, n) == oracle.word_of(c, w, n)
 
     def test_out_of_range_symbols_invalid(self):
         for w in (2,) + WIDE_WINDOWS:
@@ -215,7 +221,7 @@ class TestValidity:
                 for q in (0, 1, 2, 256, 257):
                     c = tuple(q * v for v in rv)
                     want = {0: (0,) * len(x), 1: x}.get(q)
-                    assert _word_of(c, w, len(x)) == want, (w, len(x), q)
+                    assert _word(c, w, len(x)) == want, (w, len(x), q)
                     assert oracle.word_of(c, w, len(x)) == want, (w, len(x), q)
 
     def test_rejects_bad_arguments(self):
