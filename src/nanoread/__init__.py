@@ -39,11 +39,7 @@ from .core import (
     read_vector,
     recover_from_mod2,
 )
-from .reconstruct import (
-    InconsistentReadsError,
-    disagreement_span,
-    reconstruct_two,
-)
+from .reconstruct import InconsistentReadsError, reconstruct_two
 
 __version__ = "0.1.0"
 
@@ -62,7 +58,6 @@ __all__ = [
     "bound_table",
     "decode",
     "deletion_ball",
-    "disagreement_span",
     "encode",
     "enumerate_code",
     "expected_runs",

@@ -98,7 +98,7 @@ def cmd_roundtrip(args) -> int:
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
         x = codewords[rng.randrange(len(codewords))]
-        rv = code.read_vector(x, args.l)
+        rv = core.read_vector(x, args.l)
         if mode == "exactly-one-deletion":
             pos = rng.randrange(len(rv))
             received = rv[:pos] + rv[pos + 1 :]
@@ -153,7 +153,7 @@ def cmd_reconstruct(args) -> int:
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
         x = tuple(rng.randrange(2) for _ in range(args.n))
-        rv = code.read_vector(x, args.l)
+        rv = core.read_vector(x, args.l)
         ball = sorted(balls.deletion_ball(rv))
         if len(ball) < 2:
             skipped += 1

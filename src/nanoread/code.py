@@ -19,8 +19,8 @@ from .core import (
     _deletion_source,
     _read_parities,
     _word_bytes,
+    _word_parities,
     all_words,
-    read_vector,
 )
 
 
@@ -68,7 +68,7 @@ def syndrome(x: Sequence[int], n: int, window: int) -> int:
     """Weighted checksum of the read vector's mod-2 prefix, mod n+1."""
     if len(x) != n:
         raise ValueError(f"word length {len(x)} != n = {n}")
-    return _levels_syndrome(read_vector(x, window), window, n)
+    return _checksum(_word_parities(x, window), n)
 
 
 def is_member(x: Sequence[int], params: CodeParams) -> bool:

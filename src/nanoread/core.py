@@ -18,9 +18,10 @@ ground truth.
 
 Each job on the packed format has one owner here: ``_slot_bytes`` and
 ``_pack`` pack, ``_unpack`` unpacks slots of any width (the run
-histograms of ``bounds`` use it too), and ``_read_parities`` takes the
-mod-2 prefix of a sequence off its packed bytes, for the code's
-checksum and for the decoder alike.
+histograms of ``bounds`` use it too), and ``_parities`` takes the
+mod-2 prefix off packed bytes: of a sequence through ``_read_parities``,
+for the code's checksum and for the decoder alike, and of a word's read
+vector through ``_word_parities``, for the syndrome.
 """
 
 from __future__ import annotations
@@ -214,7 +215,25 @@ def _read_parities(
         raw = _slot_bytes(levels, k)
     except (TypeError, ValueError, struct.error):
         return None
-    return int.from_bytes(raw, "little"), raw[: k * count : k].translate(_PARITY)
+    return int.from_bytes(raw, "little"), _parities(raw, k, count)
+
+
+def _parities(raw: bytes, k: int, count: int) -> bytes:
+    """The parities of the first count k-byte slots of raw, one byte each."""
+    return raw[: k * count : k].translate(_PARITY)
+
+
+def _word_parities(x: Sequence[int], window: int) -> bytes:
+    """The parities of the first len(x) entries of x's read vector, one
+    byte each, off the bytes of the packed product: no tuple is built.
+
+    Raises like ``read_vector``.
+    """
+    k, ones = _window_slots(window)
+    raw = _bit_bytes(x)
+    n = len(raw)
+    levels = (_pack(raw, k) * ones).to_bytes(k * (n + window - 1), "little")
+    return _parities(levels, k, n)
 
 
 def _deletion_source(read: int, prefix: bytes, window: int) -> Word | None:

@@ -6,6 +6,16 @@ recursion for the largest independent set of a conflict graph.
 Enumeration order is lexicographic so counterexample witnesses are
 stable across runs.
 
+The index (``_overlaps``) streams: each ball, as it arrives, counts its
+overlaps with the earlier balls and hands them to its caller, which
+keeps only what its check needs (the largest overlap, the conflict
+graph's edges, the first colliding pair), so no table of all pairs is
+built.  Its keys are ball elements packed by ``core._slot_bytes`` in
+the window's slot width (one byte for the binary words of in-run
+balls): bytes take a fraction of a tuple's memory, and the packing is
+injective because every entry is at most the window, which the slot
+holds.
+
 Every ``verify_*`` function returns a ``CheckResult``.  The costly
 per-word checks (``verify_decoder`` and ``verify_reconstruction``) fan
 their enumeration out over the CPUs this process may run on: contiguous
@@ -26,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds
 from .balls import (
@@ -47,6 +57,8 @@ from .core import (
     Levels,
     ResourceLimitError,
     Word,
+    _slot_bytes,
+    _window_slots,
     all_words,
     is_valid_read_vector,
     read_vector,
@@ -270,38 +282,73 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     return CheckResult(ok=True, checked=checked)
 
 
-def _overlaps(balls: Iterable[set]) -> dict[tuple[int, int], int]:
-    """|balls[i] & balls[j]| for every pair i < j whose balls meet.
+def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
+    """(i, {j: |balls[j] & balls[i]|}) for each ball i that meets an
+    earlier ball j < i, in order of i; ``balls`` may be a generator.
 
-    An inverted index from ball elements to positions, so only colliding
-    pairs are ever counted; ``balls`` may be a generator.
+    A streaming inverted index from elements to the positions of the
+    balls that hold them: ball i looks up the bucket of each of its
+    elements, counts the earlier positions there into a fresh dict,
+    which it yields, and joins the buckets.  The index keeps no pair,
+    only one bucket per distinct element.  It is agnostic of the
+    element type (the callers pass packed bytes, see the module
+    docstring); each ball must be a set, so that it visits a bucket
+    once.
     """
-    buckets: dict[tuple, list[int]] = {}
+    buckets: dict = {}
     for i, ball in enumerate(balls):
+        counts: dict[int, int] = {}
         for d in ball:
-            buckets.setdefault(d, []).append(i)
-    overlap: dict[tuple[int, int], int] = {}
-    while buckets:  # popped, so each key is freed as its pairs are counted
-        for pair in combinations(buckets.popitem()[1], 2):
-            overlap[pair] = overlap.get(pair, 0) + 1
-    return overlap
+            earlier = buckets.get(d)
+            if earlier is None:
+                buckets[d] = [i]
+                continue
+            for j in earlier:
+                counts[j] = counts.get(j, 0) + 1
+            earlier.append(i)
+        if counts:
+            yield i, counts
+
+
+def _packed_ball(levels: Sequence[int], k: int) -> set[bytes]:
+    """The deletion ball of levels, each result packed by
+    ``_slot_bytes`` in k-byte slots, k the window's slot width.
+
+    Distinct results pack to distinct bytes: every entry is at most the
+    window, which a k-byte slot holds.
+    """
+    return {_slot_bytes(d, k) for d in deletion_ball(levels)}
+
+
+def _nth_word(i: int, n: int) -> Word:
+    """Word i of ``all_words(n)``: the n bits of i, the highest first."""
+    return tuple(i >> s & 1 for s in reversed(range(n)))
 
 
 def verify_intersection_bound(n: int, window: int) -> CheckResult:
-    """Exact maximum pairwise deletion-ball overlap of read vectors."""
-    words = list(all_words(n))
-    overlap = _overlaps(deletion_ball(read_vector(x, window)) for x in words)
-    if not overlap:
+    """Exact maximum pairwise deletion-ball overlap of read vectors.
+
+    The witness is the pair (a, b), a < b in enumeration order, of
+    largest overlap, the smallest such pair on a tie.
+    """
+    k, _ = _window_slots(window)
+    balls = (_packed_ball(read_vector(x, window), k) for x in all_words(n))
+    best, a, b = 0, 0, 0
+    for i, counts in _overlaps(balls):
+        top = max(counts.values())
+        if top >= best:
+            j = min(j for j, c in counts.items() if c == top)
+            if top > best or j < a:  # i > b, so (j, i) < (a, b) iff j < a
+                best, a, b = top, j, i
+    if not best:
         return CheckResult(ok=True, checked=1 << n, detail={"max_overlap": 0})
-    (a, b), best = max(overlap.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
     limit = 2 if window == 1 else 1
+    pair = (_nth_word(a, n), _nth_word(b, n))
     return CheckResult(
         ok=best <= limit,
         checked=1 << n,
-        detail={"max_overlap": best, "witness": (words[a], words[b])},
-        counterexample=(
-            None if best <= limit else {"pair": (words[a], words[b]), "overlap": best}
-        ),
+        detail={"max_overlap": best, "witness": pair},
+        counterexample=None if best <= limit else {"pair": pair, "overlap": best},
     )
 
 
@@ -395,9 +442,11 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
     words = [x for x in all_words(n) if rho_geq(x, window) >= 1]
     free = (1 << n) - len(words)
     adj = [0] * len(words)
-    for i, j in _overlaps(sticky_ball(x, window) for x in words):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    balls = ({_slot_bytes(d, 1) for d in sticky_ball(x, window)} for x in words)
+    for i, counts in _overlaps(balls):
+        for j in counts:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     limit = MAX_EXACT_MIS_N if window >= 2 else MAX_EXACT_MIS_N_WINDOW_1
     if n <= limit:
         mask = _max_independent_set(adj, (1 << len(words)) - 1)
@@ -427,10 +476,12 @@ def verify_code_property(
         codewords = enumerate_code(params)
     k = len(codewords)
     w = params.window
-    overlap = _overlaps(deletion_ball(read_vector(x, w)) for x in codewords)
-    if not overlap:
+    slot, _ = _window_slots(w)
+    balls = (_packed_ball(read_vector(x, w), slot) for x in codewords)
+    first = min(((min(counts), i) for i, counts in _overlaps(balls)), default=None)
+    if first is None:
         return CheckResult(ok=True, checked=k * (k - 1) // 2, detail={"codewords": k})
-    i, j = min(overlap)
+    i, j = first
     return CheckResult(
         ok=False,
         checked=i * (2 * k - i - 1) // 2 + j - i,  # rank of (i, j) among the pairs

@@ -22,16 +22,6 @@ class InconsistentReadsError(ValueError):
     """No legitimate read vector holds both reads in its deletion ball."""
 
 
-def disagreement_span(u: Sequence[int], v: Sequence[int]) -> tuple[int, int]:
-    """First and last 1-based indices where u and v differ."""
-    if len(u) != len(v):
-        raise LengthMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    span = _span(u, v)
-    if span is None:
-        raise ValueError("sequences are identical")
-    return span[0] + 1, span[1] + 1
-
-
 def _span(u: Sequence[int], v: Sequence[int]) -> tuple[int, int] | None:
     """First and last 0-based indices where u and v, of one length,
     differ; None when they do not."""

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import nanoread
 from nanoread import oracle
-from nanoread.balls import sticky_ball
+from nanoread.balls import deletion_ball, sticky_ball
 from nanoread.bounds import weighted_sum
 from nanoread.code import (
     CodeParams,
     DecodeFailure,
+    DecodeOutcome,
     MalformedInputError,
     decode as real_decode,
     enumerate_code,
@@ -86,7 +88,12 @@ class TestOverlaps:
             for i, j in combinations(range(len(balls)), 2)
             if balls[i] & balls[j]
         }
-        assert oracle._overlaps(iter(balls)) == want
+        got = {
+            (j, i): count
+            for i, counts in oracle._overlaps(iter(balls))
+            for j, count in counts.items()
+        }
+        assert got == want
 
 
 class TestBallEquivalence:
@@ -123,6 +130,35 @@ class TestIntersectionBound:
         assert res.ok
         assert res.detail["max_overlap"] == 2
         assert "witness" in res.detail
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_matches_every_pair(self, window):
+        # the largest overlap over combinations, ties to the smallest (a, b)
+        for n in range(1, 8):
+            words = list(all_words(n))
+            balls = [deletion_ball(read_vector(x, window)) for x in words]
+            a, b = max(
+                combinations(range(len(words)), 2),
+                key=lambda p: len(balls[p[0]] & balls[p[1]]),
+            )
+            best = len(balls[a] & balls[b])
+            res = verify_intersection_bound(n, window)
+            assert res.detail["max_overlap"] == best, (n, window)
+            assert res.detail.get("witness") == (
+                (words[a], words[b]) if best else None
+            ), (n, window)
+
+    def test_peak_memory(self):
+        # one bucket per distinct result and no table of colliding pairs,
+        # whose 19,712 entries at this cell take the peak past 2.4 MB
+        verify_intersection_bound(4, 2)
+        tracemalloc.start()
+        try:
+            assert verify_intersection_bound(11, 2).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6
 
 
 class TestMaxStickyCode:
@@ -314,6 +350,23 @@ class TestClaimChecks:
         assert self._fails_as_json(res) == {"word": [0, 1, 1], "r": 2}
         assert res.checked == 3 * 3 + 2  # (0,1,1) is the fourth word
 
+    def test_intersection_fault(self, monkeypatch):
+        # two read vectors sharing two results break the limit of one at l = 2
+        real = oracle.deletion_ball
+        first, last = read_vector((0, 0, 0), 2), read_vector((1, 1, 1), 2)
+        shared = set(sorted(real(last))[:2])
+
+        def deletion_ball(u):
+            return real(u) | shared if tuple(u) == first else real(u)
+
+        monkeypatch.setattr(oracle, "deletion_ball", deletion_ball)
+        res = verify_intersection_bound(3, 2)
+        assert self._fails_as_json(res) == {
+            "pair": [[0, 0, 0], [1, 1, 1]],
+            "overlap": 2,
+        }
+        assert res.detail["max_overlap"] == 2
+
     def test_sphere_packing_fault(self, monkeypatch):
         monkeypatch.setattr(oracle.bounds, "weighted_sum", lambda n, l: Fraction(1))
         res = oracle.verify_sphere_packing(4, 2)
@@ -431,6 +484,35 @@ class TestFanOut:
         assert not fanned.ok
         assert fanned.counterexample["word"] == targets[where][0]
         assert fanned.counterexample["error"] == "DecodeFailure: refused"
+
+    @pytest.mark.parametrize("index", [100, -100])
+    def test_wrong_decode_in_a_block(self, monkeypatch, forks, index):
+        # one received read decodes to another codeword of its class
+        word = _decoder_order(10, 2)[index]
+        params = CodeParams(10, 2, syndrome(word, 10, 2))
+        other = next(x for x in enumerate_code(params) if x != word)
+        target = sorted(deletion_ball(read_vector(word, 2)))[0]
+
+        def decode(received, p):
+            out = real_decode(received, p)
+            if (received, p) == (target, params):
+                return DecodeOutcome(other, out.path)
+            return out
+
+        monkeypatch.setattr(oracle, "decode", decode)
+        _set_cpus(monkeypatch, 1)
+        serial = verify_decoder(10, 2)
+        _set_cpus(monkeypatch, 3)
+        fanned = verify_decoder(10, 2)
+        assert len(forks) == 2
+        assert fanned == serial
+        assert not fanned.ok
+        assert fanned.counterexample == {
+            "word": word,
+            "residue": params.residue,
+            "received": target,
+            "decoded": other,
+        }
 
     @pytest.mark.parametrize("index", [100, 1000])
     def test_wrong_reconstruction_in_a_block(self, monkeypatch, forks, index):

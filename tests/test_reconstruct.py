@@ -10,11 +10,7 @@ from nanoread.oracle import all_words
 
 # windows on both sides of the step from one-byte to two-byte slots
 WIDE_WINDOWS = (255, 256, 257)
-from nanoread.reconstruct import (
-    InconsistentReadsError,
-    disagreement_span,
-    reconstruct_two,
-)
+from nanoread.reconstruct import InconsistentReadsError, reconstruct_two
 
 
 def holders(r1, r2, w, n):
@@ -29,20 +25,10 @@ def holders(r1, r2, w, n):
     return out
 
 
-class TestDisagreementSpan:
-    def test_single_disagreement(self):
-        assert disagreement_span((1, 2, 2, 2, 1, 0, 0), (1, 1, 2, 2, 1, 0, 0)) == (2, 2)
-
-    def test_endpoints(self):
-        assert disagreement_span((0, 1, 1), (1, 1, 0)) == (1, 3)
-
-    def test_identical_raises(self):
-        with pytest.raises(ValueError):
-            disagreement_span((1, 1), (1, 1))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            disagreement_span((1,), (1, 0))
+def span(u, v):
+    """First and last 1-based indices where u and v differ."""
+    diff = [i for i, (a, b) in enumerate(zip(u, v), 1) if a != b]
+    return diff[0], diff[-1]
 
 
 class TestReconstructTwo:
@@ -57,6 +43,10 @@ class TestReconstructTwo:
     def test_window_one_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_two((1, 0), (0, 1), 1, 3)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            reconstruct_two((1, 1, 0), (1, 1), 2, 3)
 
     def test_identical_reads_rejected(self):
         with pytest.raises(ValueError):
@@ -85,7 +75,7 @@ class TestReconstructTwo:
                     rv = read_vector(x, w)
                     ball = sorted(deletion_ball(rv))
                     for r1, r2 in combinations(ball, 2):
-                        i, j = disagreement_span(r1, r2)
+                        i, j = span(r1, r2)
                         head = r1[: i - 1] + (r2[i - 1],) + r1[i - 1 :]
                         tail = r1[:j] + (r2[j - 1],) + r1[j:]
                         valid = {
