@@ -28,11 +28,19 @@ def rho_geq(u: Sequence[int], a: int) -> int:
 
 
 def deletion_ball(u: Sequence[int]) -> set[Seq]:
-    """All distinct words reachable from u by deleting one symbol."""
+    """All distinct words reachable from u by deleting one symbol.
+
+    Deleting any symbol of a maximal run leaves the same word, so u is
+    sliced once per run, at the run's last position: every position
+    whose symbol differs from the next one, and the last position.
+    """
     if len(u) < 1:
         raise ValueError("cannot delete from an empty word")
     u = tuple(u)
-    return {u[:i] + u[i + 1 :] for i in range(len(u))}
+    last = len(u) - 1
+    ball = {u[:i] + u[i + 1 :] for i in range(last) if u[i] != u[i + 1]}
+    ball.add(u[:last])
+    return ball
 
 
 def sticky_ball(u: Sequence[int], r: int) -> set[Seq]:

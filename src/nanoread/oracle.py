@@ -16,15 +16,18 @@ balls): bytes take a fraction of a tuple's memory, and the packing is
 injective because every entry is at most the window, which the slot
 holds.
 
-Every ``verify_*`` function returns a ``CheckResult``.  The costly
-per-word checks (``verify_decoder`` and ``verify_reconstruction``) fan
-their enumeration out over the CPUs this process may run on: contiguous
-blocks of at least ``MIN_BLOCK`` words, every block but the last in a
-forked child.  The block results are merged in enumeration order, so
-each ``CheckResult`` is the one the serial run gives.  They stay serial
-when ``os.fork`` is missing, when one CPU is available, when the
-enumeration is too small to split, or when the process runs more than
-one thread.
+Every ``verify_*`` function returns a ``CheckResult``.  The per-word
+checks (``verify_decoder``, ``verify_reconstruction`` and
+``verify_ball_equivalence``) fan their enumeration out over the CPUs
+this process may run on: contiguous blocks, every block but the last in
+a forked child.  A block is sized by work, not by words: each check
+states its cost per word, and a block holds at least ``MIN_BLOCK_US``
+of it, so the cheap ball-equivalence check needs about three times the
+words the decoder needs to split.  The block results are merged in enumeration
+order, so each ``CheckResult`` is the one the serial run gives.  They
+stay serial when ``os.fork`` is missing, when one CPU is available,
+when the enumeration holds too little work to split, or when the
+process runs more than one thread.
 """
 
 from __future__ import annotations
@@ -71,9 +74,16 @@ MAX_VALIDITY_CANDIDATES = 4**12
 # at window 1 every word's in-run ball is its whole deletion ball and the
 # conflict graph is one dense component: exact search stops earlier
 MAX_EXACT_MIS_N_WINDOW_1 = 6
-# fewest words per forked block: a fork and reap costs a few ms, about
-# what a 256-word reconstruction block takes
-MIN_BLOCK = 256
+# least work per forked block, in us: about twice what a fork and reap
+# costs in a warmed process (1.7 ms), since two 256-word blocks of ball
+# equivalence (n = 9) came out slower than one serial run
+MIN_BLOCK_US = 4000
+# the serial cost per word of each fanned check, in us, rounded from
+# timings at n = 8..10, l = 2, 3 on a 2-vCPU host: the decoder and
+# reconstruction split from n = 8 on two CPUs, ball equivalence from 10
+DECODE_US = 40
+RECONSTRUCT_US = 40
+BALL_US = 12
 
 
 @dataclass
@@ -104,9 +114,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_blocks(check: Callable[[list], BlockResult], items: list) -> BlockResult:
+def _in_blocks(
+    check: Callable[[list], BlockResult], items: list, us_per_item: int
+) -> BlockResult:
     """check over items, as if in one call, split into contiguous blocks
-    run side by side.
+    run side by side, one per CPU, each of at least ``MIN_BLOCK_US`` of
+    work at us_per_item.
 
     Every block but the last runs in a forked child that sends back its
     pickled result or exception; the parent runs the last block itself.
@@ -116,7 +129,7 @@ def _in_blocks(check: Callable[[list], BlockResult], items: list) -> BlockResult
     returned with the counts of every block up to it, which are the
     counts of the serial run.
     """
-    blocks = min(_cpus(), len(items) // MIN_BLOCK)
+    blocks = min(_cpus(), len(items) * us_per_item // MIN_BLOCK_US)
     if blocks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return check(items)
     import pickle
@@ -262,24 +275,29 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     """Compare the restricted ball of each read vector with the in-run
     deletion image set, both directions, over all words of length n.
 
-    The lemma is about deletions from a word, so n must be >= 1.  Runs
-    serially: at about 20 us a word, a forked block gains less than the
-    fork costs.
+    The lemma is about deletions from a word, so n must be >= 1.  At
+    ``BALL_US`` a word, under a third of the decoder's cost, it fans out
+    from n = 10 on two CPUs, two steps of n after the decoder.
     """
     if n < 1:
         raise ValueError("ball equivalence needs n >= 1")
-    checked = 0
-    for x in all_words(n):
-        lhs = restricted_ball(read_vector(x, window), window)
-        rhs = sticky_read_images(x, window)
-        checked += 1
-        if lhs != rhs:
-            return CheckResult(
-                ok=False,
-                checked=checked,
-                counterexample={"word": x, "lhs": sorted(lhs), "rhs": sorted(rhs)},
-            )
-    return CheckResult(ok=True, checked=checked)
+
+    def check(words: list[Word]) -> BlockResult:
+        checked = 0
+        for x in words:
+            lhs = restricted_ball(read_vector(x, window), window)
+            rhs = sticky_read_images(x, window)
+            checked += 1
+            if lhs != rhs:
+                return checked, {
+                    "word": x, "lhs": sorted(lhs), "rhs": sorted(rhs)
+                }, 0
+        return checked, None, 0
+
+    checked, counterexample, _ = _in_blocks(check, list(all_words(n)), BALL_US)
+    return CheckResult(
+        ok=counterexample is None, checked=checked, counterexample=counterexample
+    )
 
 
 def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
@@ -290,10 +308,11 @@ def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
     balls that hold them: ball i looks up the bucket of each of its
     elements, counts the earlier positions there into a fresh dict,
     which it yields, and joins the buckets.  The index keeps no pair,
-    only one bucket per distinct element.  It is agnostic of the
-    element type (the callers pass packed bytes, see the module
-    docstring); each ball must be a set, so that it visits a bucket
-    once.
+    only one bucket per distinct element: a bare position while one
+    ball holds the element (most do), a list from the second on.  It
+    is agnostic of the element type (the callers pass packed bytes, see
+    the module docstring); each ball must be a set, so that it visits a
+    bucket once.
     """
     buckets: dict = {}
     for i, ball in enumerate(balls):
@@ -301,11 +320,14 @@ def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
         for d in ball:
             earlier = buckets.get(d)
             if earlier is None:
-                buckets[d] = [i]
-                continue
-            for j in earlier:
-                counts[j] = counts.get(j, 0) + 1
-            earlier.append(i)
+                buckets[d] = i
+            elif type(earlier) is int:
+                counts[earlier] = counts.get(earlier, 0) + 1
+                buckets[d] = [earlier, i]
+            else:
+                for j in earlier:
+                    counts[j] = counts.get(j, 0) + 1
+                earlier.append(i)
         if counts:
             yield i, counts
 
@@ -521,7 +543,8 @@ def verify_decoder(n: int, window: int) -> CheckResult:
                 }, 0
         return checked, None, 0
 
-    checked, counterexample, _ = _in_blocks(check, [i for c in codes for i in c])
+    items = [i for c in codes for i in c]
+    checked, counterexample, _ = _in_blocks(check, items, DECODE_US)
     return CheckResult(
         ok=counterexample is None, checked=checked, counterexample=counterexample
     )
@@ -556,7 +579,9 @@ def verify_reconstruction(n: int, window: int) -> CheckResult:
                 return checked, {"word": x, "reads": (r1, r2), **found}, skipped
         return checked, None, skipped
 
-    checked, counterexample, skipped = _in_blocks(check, list(all_words(n)))
+    checked, counterexample, skipped = _in_blocks(
+        check, list(all_words(n)), RECONSTRUCT_US
+    )
     if counterexample is not None:
         return CheckResult(ok=False, checked=checked, counterexample=counterexample)
     return CheckResult(ok=True, checked=checked, detail={"skipped_singletons": skipped})

@@ -1,3 +1,5 @@
+from itertools import product
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +15,18 @@ from nanoread.core import read_vector
 from nanoread.oracle import all_words
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=14).map(tuple)
+# long sequences of few symbols of mixed types, some ending in a run of
+# None: a last position found by comparing with a None sentinel is lost
+mixed = st.builds(
+    lambda body, tail: tuple(body) + (None,) * tail,
+    st.lists(st.sampled_from([0, 1, 2, None, "a"]), min_size=100, max_size=400),
+    st.integers(0, 3),
+)
+
+
+def per_position_ball(u):
+    """The deletion ball by its definition: one slice per position."""
+    return {u[:i] + u[i + 1 :] for i in range(len(u))}
 
 
 class TestRuns:
@@ -47,6 +61,18 @@ class TestDeletionBall:
     @given(bits)
     def test_size_is_run_count(self, u):
         assert len(deletion_ball(u)) == rho_geq(u, 1)
+
+    def test_matches_per_position_exhaustive(self):
+        for length in range(1, 9):
+            for u in product(range(4), repeat=length):
+                assert deletion_ball(u) == per_position_ball(u), u
+
+    @given(mixed)
+    def test_matches_per_position_long(self, u):
+        ball = deletion_ball(u)
+        assert ball == per_position_ball(u)
+        assert len(ball) == len(runs(u))
+        assert sticky_ball(u, 1) == ball
 
 
 class TestStickyBall:

@@ -6,7 +6,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +159,18 @@ class TestIntersectionBound:
         finally:
             tracemalloc.stop()
         assert peak < 1.6e6
+
+    def test_peak_memory_window_three(self):
+        # a bucket that one ball reaches holds a bare index until a second
+        # arrives: one-element lists take this cell's peak to 1.6 MB
+        verify_intersection_bound(4, 3)
+        tracemalloc.start()
+        try:
+            assert verify_intersection_bound(11, 3).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25e6
 
 
 class TestMaxStickyCode:
@@ -367,6 +379,49 @@ class TestClaimChecks:
         }
         assert res.detail["max_overlap"] == 2
 
+    @pytest.mark.parametrize("index", [100, 1000])
+    def test_ball_equivalence_fault(self, monkeypatch, forks, index):
+        # one element dropped from one word's restricted ball, in the
+        # forked block (100) or the parent's own (1000) on two CPUs
+        word = list(all_words(10))[index]
+        target = read_vector(word, 2)
+        real = oracle.restricted_ball
+        dropped = min(real(target, 2))
+
+        def restricted_ball(u, k):
+            ball = real(u, k)
+            return ball - {dropped} if tuple(u) == target else ball
+
+        monkeypatch.setattr(oracle, "restricted_ball", restricted_ball)
+        _set_cpus(monkeypatch, 1)
+        serial = verify_ball_equivalence(10, 2)
+        _set_cpus(monkeypatch, 2)
+        fanned = verify_ball_equivalence(10, 2)
+        assert len(forks) == 1
+        assert fanned == serial
+        found = self._fails_as_json(fanned)
+        assert fanned.checked == index + 1
+        assert found["word"] == list(word)
+        lhs, rhs = (set(map(tuple, found[side])) for side in ("lhs", "rhs"))
+        assert rhs - lhs == {dropped} and lhs <= rhs
+
+    @pytest.mark.parametrize(
+        "target", [read_vector((1, 0, 1), 2), (2, 2, 2, 2)], ids=["in", "out"]
+    )
+    def test_validity_image_fault(self, monkeypatch, target):
+        # one answer flipped: a read vector refused, or a candidate
+        # outside the image accepted
+        real = oracle.is_valid_read_vector
+
+        def is_valid_read_vector(levels, window, n):
+            valid = real(levels, window, n)
+            return not valid if levels == target else valid
+
+        monkeypatch.setattr(oracle, "is_valid_read_vector", is_valid_read_vector)
+        res = verify_validity_image(3, 2)
+        assert self._fails_as_json(res) == {"candidate": list(target)}
+        assert res.checked == list(product(range(3), repeat=4)).index(target) + 1
+
     def test_sphere_packing_fault(self, monkeypatch):
         monkeypatch.setattr(oracle.bounds, "weighted_sum", lambda n, l: Fraction(1))
         res = oracle.verify_sphere_packing(4, 2)
@@ -382,7 +437,8 @@ class TestClaimChecks:
         assert oracle.verify_sphere_packing(9, 2).ok is False
 
 
-FANNED = ("verify_decoder", "verify_reconstruction")
+# each fanned check and the least n at which it splits on two CPUs
+FANNED = {"verify_decoder": 8, "verify_reconstruction": 8, "verify_ball_equivalence": 10}
 # the verify-sweep cells, and one larger
 SWEEP = [(n, l) for l in (2, 3) for n in range(l, 12)] + [(12, 2)]
 
@@ -424,8 +480,8 @@ class TestFanOut:
             serial = verify(n, l)
             _set_cpus(monkeypatch, 2)
             assert verify(n, l) == serial, (n, l)
-        # cells of 512 words and more split into two blocks
-        assert len(forks) == sum(n >= 9 for n, _ in SWEEP)
+        # every cell from the check's least n on splits into two blocks
+        assert len(forks) == sum(n >= FANNED[check] for n, _ in SWEEP)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_forks_at_most_cpus_less_one(self, monkeypatch, forks, cpus):
@@ -438,8 +494,10 @@ class TestFanOut:
         assert len(forks) <= oracle._cpus() - 1
 
     def test_small_cell_stays_serial(self, monkeypatch, forks):
+        # the largest cell of each check below two blocks' work
         _set_cpus(monkeypatch, 4)
-        assert verify_decoder(8, 2).ok  # 256 words: one block
+        for check, n in FANNED.items():
+            assert getattr(oracle, check)(n - 1, 2).ok, check
         assert forks == []
 
     def test_without_fork_stays_serial(self, monkeypatch, forks):

@@ -1,0 +1,220 @@
+"""Mutation check of the test suite: every listed mutant must fail it.
+
+    python3 tools/mutate.py            # every mutant
+    python3 tools/mutate.py NAME ...   # the named mutants only
+
+The oracles double as the test suite, so a check that cannot fail is a
+hole in the suite.  Each mutant is a (name, file, old text, new text)
+entry: the old text must occur exactly once in the file, and is
+replaced by the new text in a temporary copy of the files the suite
+reads (``COPIED``), where ``pytest -q -x tests`` runs with that copy's
+``src/`` on the path.  A mutant is killed when the run fails (or times
+out).  The unmutated copy runs first and must pass, so that no mutant
+is killed by a broken copy.  The script exits 1 when that run fails, a
+mutant survives or an old text no longer occurs exactly once, so a
+refactor must update the list rather than drop a mutant without
+notice.  Not part of the tier-1 run: a killed mutant takes seconds, a
+survivor one full run of the suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+
+MUTANTS = [
+    (
+        "slot width admits a window one bit too wide",
+        "src/nanoread/core.py",
+        "if window >> 8 * k == 0), None)",
+        "if window >> (8 * k + 1) == 0), None)",
+    ),
+    (
+        "xor doubling skips a stride",
+        "src/nanoread/core.py",
+        "        stride *= 2\n",
+        "        stride *= 3\n",
+    ),
+    (
+        "vt path drops its one-deletion test",
+        "src/nanoread/core.py",
+        "if read >> start != full >> (start + slot):",
+        "if False:",
+    ),
+    (
+        "vt insertion puts a 0 where a 1 belongs",
+        "src/nanoread/code.py",
+        "    if d <= w:\n",
+        "    if d < w:\n",
+    ),
+    (
+        "gap repair always steps up",
+        "src/nanoread/code.py",
+        "(1 if d > 0 else -1)",
+        "(1 if d > 0 else 1)",
+    ),
+    (
+        "codeword test skips the syndrome",
+        "src/nanoread/code.py",
+        "if _levels_syndrome(levels, params.window, params.n) != params.residue:",
+        "if False:",
+    ),
+    (
+        "reconstruction skips the head test",
+        "src/nanoread/reconstruct.py",
+        "if r2[i:j] == r1[i0:j0]:",
+        "if True:",
+    ),
+    (
+        "tail length floors instead of ceiling",
+        "src/nanoread/bounds.py",
+        "max(0, -((2 * a - 4 - n) // 2 ** (a + 1)))",
+        "max(0, (n - 2 * a + 4) // 2 ** (a + 1))",
+    ),
+    (
+        "reconstruction oracle accepts any result",
+        "src/nanoread/oracle.py",
+        "if got == rv:",
+        "if True:",
+    ),
+    (
+        "fan-out merges the parent's block first",
+        "src/nanoread/oracle.py",
+        "for ok, value in outcomes + [own]:",
+        "for ok, value in [own] + outcomes:",
+    ),
+    (
+        "verify passes a run that checked nothing",
+        "src/nanoread/cli.py",
+        'if all(rec["checked"] == 0 for rec in records):',
+        "if False:",
+    ),
+    (
+        "wide-slot word test ignores the high bytes",
+        "src/nanoread/core.py",
+        "k > 1 and raw.count(1) != low.count(1)",
+        "k > 1 and False",
+    ),
+    (
+        "decoder oracle accepts any codeword",
+        "src/nanoread/oracle.py",
+        "if decoded == x:",
+        "if True:",
+    ),
+    (
+        "ball equivalence never compares",
+        "src/nanoread/oracle.py",
+        "if lhs != rhs:",
+        "if False:",
+    ),
+    (
+        "validity image never compares",
+        "src/nanoread/oracle.py",
+        "if is_valid_read_vector(cand, window, n) != (cand in image):",
+        "if False:",
+    ),
+    (
+        "intersection limit of 2 at every window",
+        "src/nanoread/oracle.py",
+        "limit = 2 if window == 1 else 1",
+        "limit = 2",
+    ),
+    (
+        "deletion ball slices inside runs",
+        "src/nanoread/balls.py",
+        "if u[i] != u[i + 1]}",
+        "if u[i] == u[i + 1]}",
+    ),
+    (
+        "ball equivalence runs its blocks in reverse",
+        "src/nanoread/oracle.py",
+        "_in_blocks(check, list(all_words(n)), BALL_US)",
+        "_in_blocks(check, list(all_words(n))[::-1], BALL_US)",
+    ),
+    (
+        "overlap index drops the count of a one-ball bucket",
+        "src/nanoread/oracle.py",
+        "                counts[earlier] = counts.get(earlier, 0) + 1\n"
+        "                buckets[d] = [earlier, i]\n",
+        "                buckets[d] = [earlier, i]\n",
+    ),
+]
+
+
+def _stale(mutants) -> list[str]:
+    """The mutants whose old text does not occur exactly once."""
+    out = []
+    for name, path, old, _ in mutants:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            out.append(f"{name}: old text occurs {count} times in {path}")
+    return out
+
+
+def _passes(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
+    """Run the suite on a copy with the (file, old, new) mutant applied,
+    or none; (passed, the run's last line)."""
+    with tempfile.TemporaryDirectory(prefix="nanoread-mutant-") as tmp:
+        copy = pathlib.Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in COPIED:
+            if (ROOT / part).is_dir():
+                shutil.copytree(ROOT / part, copy / part, ignore=skip)
+            else:
+                shutil.copy(ROOT / part, copy)
+        if mutant is not None:
+            path, old, new = mutant
+            target = copy / path
+            target.write_text(target.read_text().replace(old, new, 1))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+        try:
+            run = subprocess.run(
+                cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+    summary = (run.stdout.strip().splitlines() or ["no output"])[-1]
+    return run.returncode == 0, summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="run only these mutants")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m[0] for m in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {sorted(unknown)}")
+    mutants = [m for m in MUTANTS if not args.names or m[0] in args.names]
+    stale = _stale(mutants)
+    for line in stale:
+        print(f"STALE    {line}")
+    if stale:
+        return 1
+    passed, how = _passes(None)
+    if not passed:
+        print(f"BROKEN   the unmutated copy fails: {how}")
+        return 1
+    survivors = 0
+    for name, path, old, new in mutants:
+        start = time.perf_counter()
+        survived, how = _passes((path, old, new))
+        survivors += survived
+        status = "SURVIVED" if survived else "killed  "
+        print(f"{status} {time.perf_counter() - start:6.1f} s  {name}: {how}", flush=True)
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
