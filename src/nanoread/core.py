@@ -48,9 +48,11 @@ class ResourceLimitError(RuntimeError):
 def all_words(n: int) -> Iterator[Word]:
     """All binary words of length n in lexicographic order.
 
-    The size guard is checked when this is called, not when the first
-    word is drawn.
+    The length and size guards are checked when this is called, not when
+    the first word is drawn.
     """
+    if n < 0:
+        raise ValueError("word length must be >= 0")
     if n > MAX_ENUM_N:
         raise ResourceLimitError(f"word enumeration guarded at n <= {MAX_ENUM_N}")
     return product((0, 1), repeat=n)

@@ -18,16 +18,20 @@ holds.
 
 Every ``verify_*`` function returns a ``CheckResult``.  The per-word
 checks (``verify_decoder``, ``verify_reconstruction`` and
-``verify_ball_equivalence``) fan their enumeration out over the CPUs
-this process may run on: contiguous blocks, every block but the last in
-a forked child.  A block is sized by work, not by words: each check
-states its cost per word, and a block holds at least ``MIN_BLOCK_US``
-of it, so the cheap ball-equivalence check needs about three times the
-words the decoder needs to split.  The block results are merged in enumeration
-order, so each ``CheckResult`` is the one the serial run gives.  They
-stay serial when ``os.fork`` is missing, when one CPU is available,
-when the enumeration holds too little work to split, or when the
-process runs more than one thread.
+``verify_ball_equivalence``) each run one loop over any iterable of
+words, and fan the enumeration out over the CPUs this process may run
+on, in word-prefix chunks: chunk c holds the words whose top
+``CHUNK_BITS`` bits are c, in lexicographic order.  Every process, the
+parent and its forked children, claims the next chunk from one pipe,
+so a process that draws cheap chunks takes more of them.  The process
+count follows the work, not the words: each check states its cost per
+word, and each process gets at least ``MIN_BLOCK_US`` of it, so the
+cheap ball-equivalence check needs about three times the words the
+decoder needs to fork.  The chunk results are merged in chunk order, so
+each ``CheckResult`` is the one the serial run gives.  They stay serial
+when ``os.fork`` is missing, when one CPU is available, when the
+enumeration holds too little work to split, or when the process runs
+more than one thread.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .code import (
     enumerate_code,
 )
 from .core import (
-    Levels,
     ResourceLimitError,
     Word,
     _slot_bytes,
@@ -74,7 +77,7 @@ MAX_VALIDITY_CANDIDATES = 4**12
 # at window 1 every word's in-run ball is its whole deletion ball and the
 # conflict graph is one dense component: exact search stops earlier
 MAX_EXACT_MIS_N_WINDOW_1 = 6
-# least work per forked block, in us: about twice what a fork and reap
+# least work per forked process, in us: about twice what a fork and reap
 # costs in a warmed process (1.7 ms), since two 256-word blocks of ball
 # equivalence (n = 9) came out slower than one serial run
 MIN_BLOCK_US = 4000
@@ -84,6 +87,8 @@ MIN_BLOCK_US = 4000
 DECODE_US = 40
 RECONSTRUCT_US = 40
 BALL_US = 12
+# the top bits of a word that name its fan-out chunk: 32 chunks from n = 5
+CHUNK_BITS = 5
 
 
 @dataclass
@@ -102,8 +107,10 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-# (checked, counterexample or None, words skipped) of one block
-BlockResult = tuple[int, dict | None, int]
+# (checked, counterexample or None, words skipped) of one chunk
+ChunkResult = tuple[int, dict | None, int]
+# a per-word check: its result over the words it is given, in their order
+Check = Callable[[Iterable[Word]], ChunkResult]
 
 
 def _cpus() -> int:
@@ -114,31 +121,44 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_blocks(
-    check: Callable[[list], BlockResult], items: list, us_per_item: int
-) -> BlockResult:
-    """check over items, as if in one call, split into contiguous blocks
-    run side by side, one per CPU, each of at least ``MIN_BLOCK_US`` of
-    work at us_per_item.
+def _chunk(n: int, c: int) -> Iterator[Word]:
+    """Chunk c of ``all_words(n)``: the words whose top min(n, CHUNK_BITS)
+    bits are the bits of c, in lexicographic order, so that the chunks
+    in order make up the whole enumeration."""
+    b = min(n, CHUNK_BITS)
+    prefix = _nth_word(c, b)
+    return (prefix + rest for rest in product((0, 1), repeat=n - b))
 
-    Every block but the last runs in a forked child that sends back its
-    pickled result or exception; the parent runs the last block itself.
-    Every child is read and reaped before this returns or raises.  In
-    block order, the first block that raised or found a counterexample
-    decides the result: its exception is raised, or its counterexample
-    returned with the counts of every block up to it, which are the
-    counts of the serial run.
+
+def _by_chunks(check: Check, n: int, us_per_word: int) -> ChunkResult:
+    """check over ``all_words(n)``, as if in one call, fanned out over
+    one process per CPU when the words hold at least ``MIN_BLOCK_US``
+    of work per process at us_per_word.
+
+    The parent writes the chunk indices, one byte each, into a pipe and
+    forks the children; every process, the parent too, claims chunks
+    from that pipe in turn (see ``_claim``), so the chunks are claimed
+    in increasing order.  Each child sends back its pickled
+    ``{chunk: outcome}``, and every child is read and reaped before this
+    returns or raises.  In chunk order, the first chunk that raised or
+    found a counterexample decides the result: its exception is raised,
+    or its counterexample returned with the counts of every chunk up to
+    it, which are the counts of the serial run.
     """
-    blocks = min(_cpus(), len(items) * us_per_item // MIN_BLOCK_US)
-    if blocks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return check(items)
+    words = all_words(n)  # the size guard, before any fork
+    procs = min(_cpus(), (us_per_word << n) // MIN_BLOCK_US)
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return check(words)
     import pickle
 
-    cuts = [len(items) * i // blocks for i in range(blocks + 1)]
+    chunks = 1 << min(n, CHUNK_BITS)
+    claims, w = os.pipe()
+    os.write(w, bytes(range(chunks)))
+    os.close(w)
     children: list[tuple[int, int]] = []
     received: list[tuple[bytes, int]] = []
     try:
-        for start, stop in zip(cuts[:-2], cuts[1:-1]):
+        for _ in range(procs - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -148,54 +168,84 @@ def _in_blocks(
                 raise
             if pid == 0:
                 os.close(r)
-                _run_child(check, items[start:stop], w)
+                _run_child(check, n, claims, w)
             os.close(w)
             children.append((pid, r))
-        try:
-            own = (True, check(items[cuts[-2]:]))
-        except Exception as exc:  # placed in block order below
-            own = (False, exc)
+        outcomes = _claim(check, n, claims)
     finally:
+        os.close(claims)
         for pid, r in children:
             with open(r, "rb") as pipe:
                 data = pipe.read()
             received.append((data, os.waitpid(pid, 0)[1]))
-    outcomes = [
-        pickle.loads(data) if data else (False, RuntimeError(
-            f"oracle block {i} ended without a result"
-            f" (exit code {os.waitstatus_to_exitcode(status)})"
-        ))
-        for i, (data, status) in enumerate(received)
-    ]
+    silent = []  # the exit codes of the children that sent nothing
+    for data, status in received:
+        if data:
+            outcomes.update(pickle.loads(data))
+        else:
+            silent.append(str(os.waitstatus_to_exitcode(status)))
     checked = skipped = 0
-    for ok, value in outcomes + [own]:
+    for c in range(chunks):
+        if c not in outcomes:
+            # every chunk before the deciding one was claimed, and each
+            # claimed chunk runs to its end: only a silent child loses one
+            raise RuntimeError(
+                f"oracle chunk {c} ended without a result"
+                f" (exit code {', '.join(silent)})"
+            )
+        ok, value = outcomes[c]
         if not ok:
             raise value
-        block_checked, counterexample, block_skipped = value
-        checked += block_checked
-        skipped += block_skipped
+        chunk_checked, counterexample, chunk_skipped = value
+        checked += chunk_checked
+        skipped += chunk_skipped
         if counterexample is not None:
             return checked, counterexample, skipped
     return checked, None, skipped
 
 
-def _run_child(check: Callable[[list], BlockResult], block: list, fd: int):
-    """Run check on block in a forked child, write the pickled outcome
-    to fd and leave by ``os._exit``: never return into the caller.
+def _claim(check: Check, n: int, claims: int) -> dict[int, tuple[bool, object]]:
+    """{chunk: (True, result) or (False, exception)} of the chunks this
+    process claims, one ``os.read`` of one byte each (atomic on a
+    pipe), from the claims pipe.
 
-    A child that cannot send its outcome exits with nothing written,
-    which the parent reports as an error.
+    It stops when the pipe is empty, or after a chunk that found a
+    counterexample or raised; then it drains the pipe, so every other
+    process stops after its current chunk.
+    """
+    outcomes: dict[int, tuple[bool, object]] = {}
+    try:
+        while claim := os.read(claims, 1):
+            c = claim[0]
+            try:
+                result = check(_chunk(n, c))
+            except Exception as exc:  # placed in chunk order by the merge
+                outcomes[c] = (False, exc)
+                break
+            outcomes[c] = (True, result)
+            if result[1] is not None:
+                break
+    finally:
+        while os.read(claims, 256):
+            pass
+    return outcomes
+
+
+def _run_child(check: Check, n: int, claims: int, fd: int):
+    """Claim and run chunks in a forked child, write the pickled
+    outcomes to fd and leave by ``os._exit``: never return into the
+    caller.
+
+    A child that cannot send its outcomes exits with nothing written,
+    which the parent reports as an error naming a chunk it lost.
     """
     import pickle
 
     status = 1
     try:
-        try:
-            outcome = (True, check(block))
-        except BaseException as exc:  # the child exits below: send it on
-            outcome = (False, exc)
+        outcomes = _claim(check, n, claims)
         with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
+            pipe.write(pickle.dumps(outcomes))
         status = 0
     finally:
         os._exit(status)
@@ -282,7 +332,7 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     if n < 1:
         raise ValueError("ball equivalence needs n >= 1")
 
-    def check(words: list[Word]) -> BlockResult:
+    def check(words: Iterable[Word]) -> ChunkResult:
         checked = 0
         for x in words:
             lhs = restricted_ball(read_vector(x, window), window)
@@ -294,7 +344,7 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
                 }, 0
         return checked, None, 0
 
-    checked, counterexample, _ = _in_blocks(check, list(all_words(n)), BALL_US)
+    checked, counterexample, _ = _by_chunks(check, n, BALL_US)
     return CheckResult(
         ok=counterexample is None, checked=checked, counterexample=counterexample
     )
@@ -515,19 +565,16 @@ def verify_decoder(n: int, window: int) -> CheckResult:
     """Exhaustive decode of every single deletion of every codeword,
     over every residue class.
 
-    One pass over all words sorts them, with their read vectors, into
-    their residue classes, in lexicographic order within each class.
+    The words come in lexicographic order, each a codeword of the
+    residue class its read vector's syndrome names.
     """
     params = [CodeParams(n=n, window=window, residue=a) for a in range(n + 1)]
-    codes: list[list[tuple[CodeParams, Word, Levels]]] = [[] for _ in params]
-    for x in all_words(n):
-        rv = read_vector(x, window)
-        a = _levels_syndrome(rv, window, n)
-        codes[a].append((params[a], x, rv))
 
-    def check(items: list[tuple[CodeParams, Word, Levels]]) -> BlockResult:
+    def check(words: Iterable[Word]) -> ChunkResult:
         checked = 0
-        for p, x, rv in items:
+        for x in words:
+            rv = read_vector(x, window)
+            p = params[_levels_syndrome(rv, window, n)]
             for cand in deletion_ball(rv):
                 checked += 1
                 try:
@@ -543,8 +590,7 @@ def verify_decoder(n: int, window: int) -> CheckResult:
                 }, 0
         return checked, None, 0
 
-    items = [i for c in codes for i in c]
-    checked, counterexample, _ = _in_blocks(check, items, DECODE_US)
+    checked, counterexample, _ = _by_chunks(check, n, DECODE_US)
     return CheckResult(
         ok=counterexample is None, checked=checked, counterexample=counterexample
     )
@@ -557,7 +603,7 @@ def verify_reconstruction(n: int, window: int) -> CheckResult:
     distinct reads; they are skipped and counted.
     """
 
-    def check(words: list[Word]) -> BlockResult:
+    def check(words: Iterable[Word]) -> ChunkResult:
         checked = 0
         skipped = 0
         for x in words:
@@ -579,9 +625,7 @@ def verify_reconstruction(n: int, window: int) -> CheckResult:
                 return checked, {"word": x, "reads": (r1, r2), **found}, skipped
         return checked, None, skipped
 
-    checked, counterexample, skipped = _in_blocks(
-        check, list(all_words(n)), RECONSTRUCT_US
-    )
+    checked, counterexample, skipped = _by_chunks(check, n, RECONSTRUCT_US)
     if counterexample is not None:
         return CheckResult(ok=False, checked=checked, counterexample=counterexample)
     return CheckResult(ok=True, checked=checked, detail={"skipped_singletons": skipped})

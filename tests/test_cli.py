@@ -355,6 +355,23 @@ class TestVerify:
         assert out == ""
         assert "checked 0 instances" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("reconstruction", "--n", "-1", "--l", "2"),
+            ("intersection", "--n", "-1", "--l", "3"),
+            ("validity-image", "--n", "-1", "--l", "3"),
+            ("sticky-size", "--n", "-1"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_negative_length_is_usage_error(self, capsys, args):
+        # these checks keep an n < 0 cell and enumerate its words
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 2
+        assert out == ""
+        assert err == "error: word length must be >= 0\n"
+
     def test_some_record_checked_passes(self, capsys):
         # the n = 1 record checks nothing, the n = 2 records do
         code, out, _ = run(

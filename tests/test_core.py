@@ -62,6 +62,10 @@ class TestAllWords:
         with pytest.raises(ResourceLimitError):
             core_all_words(MAX_ENUM_N + 1)
 
+    def test_negative_length_raises_when_called(self):
+        with pytest.raises(ValueError, match="word length must be >= 0"):
+            core_all_words(-1)
+
 
 class TestReadVector:
     def test_reference_word(self):

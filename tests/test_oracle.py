@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import select
 import subprocess
 import sys
 import threading
@@ -24,7 +25,7 @@ from nanoread.code import (
     enumerate_code,
     syndrome,
 )
-from nanoread.core import read_vector
+from nanoread.core import MAX_ENUM_N, read_vector
 from nanoread.oracle import (
     ResourceLimitError,
     all_words,
@@ -467,8 +468,89 @@ def _set_cpus(monkeypatch, count):
 
 
 def _decoder_order(n, window):
-    """The decoder's enumeration: residue classes, lexicographic within."""
-    return sorted(all_words(n), key=lambda x: syndrome(x, n, window))
+    """The decoder's enumeration: lexicographic, as ``all_words``."""
+    return list(all_words(n))
+
+
+# two chunks of verify_decoder(10, 2), 32 words each, and the first word
+# of each
+K1, K2 = 20, 28
+WORD_K1, WORD_K2 = (oracle._nth_word(k << 5, 10) for k in (K1, K2))
+WAIT_S = 10
+
+
+def _chunk_of(word):
+    """The fan-out chunk of a word of length 10: its top five bits."""
+    return int("".join(map(str, word[:5])), 2)
+
+
+def _wait(flag):
+    """Wait until a byte was written to the pipe flag, in any process;
+    the byte stays, so the flag stays raised."""
+    if not select.select([flag[0]], [], [], WAIT_S)[0]:
+        raise TimeoutError(f"no process raised the flag in {WAIT_S} s")
+
+
+def _refuse(out):
+    raise DecodeFailure("refused")
+
+
+def _crash(out):
+    raise TypeError(f"chunk {_chunk_of(out.word)}")
+
+
+class _Race:
+    """Two faults of verify_decoder(10, 2): ``decode`` fails by
+    first(outcome) at ``WORD_K1`` and by second(outcome) at ``WORD_K2``.
+
+    Once armed, for the fanned run, the process that meets ``WORD_K1``
+    waits until another has met ``WORD_K2``, so the later chunk fails
+    first; and the processes of the kind that must not meet it (holder
+    is "parent" or "child") wait at each decode until one has.  A
+    process claims one chunk before its first decode, so K1 is left to
+    the holder's kind unless a process starts 20 chunks late; the
+    faults are checked before the waits, so that case deadlocks nothing.
+    """
+
+    def __init__(self, holder, first, second):
+        self.parent = os.getpid()
+        self.holder = holder
+        self.faults = {WORD_K1: first, WORD_K2: second}
+        self.met_k1, self.met_k2 = os.pipe(), os.pipe()
+        self.armed = False
+
+    def decode(self, received, params):
+        out = real_decode(received, params)
+        if self.armed:
+            if out.word == WORD_K1:
+                os.write(self.met_k1[1], b"x")
+                _wait(self.met_k2)
+            elif out.word == WORD_K2:
+                os.write(self.met_k2[1], b"x")
+            elif (os.getpid() == self.parent) != (self.holder == "parent"):
+                _wait(self.met_k1)
+        fault = self.faults.get(out.word)
+        return out if fault is None else fault(out)
+
+    def close(self):
+        for fd in self.met_k1 + self.met_k2:
+            os.close(fd)
+
+
+@pytest.fixture
+def race(monkeypatch):
+    """race(holder, first, second): a ``_Race`` in place of
+    ``oracle.decode``, its pipes closed after the test."""
+    made = []
+
+    def start(holder, first, second):
+        made.append(_Race(holder, first, second))
+        monkeypatch.setattr(oracle, "decode", made[-1].decode)
+        return made[-1]
+
+    yield start
+    for r in made:
+        r.close()
 
 
 class TestFanOut:
@@ -480,13 +562,13 @@ class TestFanOut:
             serial = verify(n, l)
             _set_cpus(monkeypatch, 2)
             assert verify(n, l) == serial, (n, l)
-        # every cell from the check's least n on splits into two blocks
+        # every cell from the check's least n on forks one child
         assert len(forks) == sum(n >= FANNED[check] for n, _ in SWEEP)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_forks_at_most_cpus_less_one(self, monkeypatch, forks, cpus):
         _set_cpus(monkeypatch, cpus)
-        assert verify_decoder(10, 2).ok  # 1024 words: up to four blocks
+        assert verify_decoder(10, 2).ok  # 1024 words: up to four processes
         assert len(forks) == cpus - 1
 
     def test_host_cpus(self, forks):
@@ -494,7 +576,7 @@ class TestFanOut:
         assert len(forks) <= oracle._cpus() - 1
 
     def test_small_cell_stays_serial(self, monkeypatch, forks):
-        # the largest cell of each check below two blocks' work
+        # the largest cell of each check below two processes' work
         _set_cpus(monkeypatch, 4)
         for check, n in FANNED.items():
             assert getattr(oracle, check)(n - 1, 2).ok, check
@@ -518,10 +600,24 @@ class TestFanOut:
         assert not thread.is_alive()
         assert forks == []
 
+    def test_chunks_make_up_the_enumeration(self):
+        for n in range(8):
+            chunks = 1 << min(n, oracle.CHUNK_BITS)
+            words = [x for c in range(chunks) for x in oracle._chunk(n, c)]
+            assert words == list(all_words(n)), n
+
+    def test_size_guard_before_any_fork(self, monkeypatch, forks):
+        _set_cpus(monkeypatch, 2)
+        for check in FANNED:
+            with pytest.raises(ResourceLimitError):
+                getattr(oracle, check)(MAX_ENUM_N + 1, 2)
+        assert forks == []
+
     @pytest.mark.parametrize("where", ["first", "last", "both"])
     def test_decode_failure_in_a_block(self, monkeypatch, forks, where):
-        # three blocks of the 1024 decoder words; the first failing
-        # block in enumeration order decides
+        # three processes over the 32 chunks of the 1024 decoder words
+        # (words 100 and 924 in chunks 3 and 28); the first failing chunk
+        # decides
         order = _decoder_order(10, 2)
         targets = {"first": [order[100]], "last": [order[-100]]}
         targets["both"] = targets["first"] + targets["last"]
@@ -542,6 +638,33 @@ class TestFanOut:
         assert not fanned.ok
         assert fanned.counterexample["word"] == targets[where][0]
         assert fanned.counterexample["error"] == "DecodeFailure: refused"
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("holder", ["parent", "child"])
+    @pytest.mark.parametrize(
+        "faults", [(_refuse, _refuse), (_crash, _crash)], ids=["found", "raised"]
+    )
+    def test_earlier_chunk_decides(self, monkeypatch, forks, race, cpus, holder, faults):
+        # chunk K2 fails first, in another process than chunk K1; K1,
+        # in the parent or a child, decides all the same
+        run = race(holder, *faults)
+        _set_cpus(monkeypatch, 1)
+        if faults[0] is _crash:
+            with pytest.raises(TypeError, match=f"^chunk {K1}$"):
+                verify_decoder(10, 2)
+        else:
+            serial = verify_decoder(10, 2)
+        run.armed = True
+        _set_cpus(monkeypatch, cpus)
+        if faults[0] is _crash:
+            with pytest.raises(TypeError, match=f"^chunk {K1}$"):
+                verify_decoder(10, 2)
+        else:
+            fanned = verify_decoder(10, 2)
+            assert fanned == serial
+            assert fanned.counterexample["word"] == WORD_K1
+            assert fanned.checked == serial.checked
+        assert len(forks) == cpus - 1
 
     @pytest.mark.parametrize("index", [100, -100])
     def test_wrong_decode_in_a_block(self, monkeypatch, forks, index):
@@ -593,56 +716,69 @@ class TestFanOut:
         assert fanned.counterexample["result"] == target[::-1]
 
     def test_child_exception_is_raised(self, monkeypatch, forks):
+        # the child raises in its first chunk; the parent holds its own
+        # first decode until then, so that the child claims a chunk
         parent = os.getpid()
-        first = _decoder_order(10, 2)[0]
+        raised = os.pipe()
 
         def decode(received, params):
-            out = real_decode(received, params)
-            if out.word == first:
+            if os.getpid() != parent:
+                os.write(raised[1], b"x")
                 raise TypeError(f"in pid {os.getpid()}")
-            return out
+            _wait(raised)
+            return real_decode(received, params)
 
         monkeypatch.setattr(oracle, "decode", decode)
         _set_cpus(monkeypatch, 2)
-        with pytest.raises(TypeError, match="in pid") as info:
-            verify_decoder(10, 2)
+        try:
+            with pytest.raises(TypeError, match="in pid") as info:
+                verify_decoder(10, 2)
+        finally:
+            os.close(raised[0])
+            os.close(raised[1])
         assert str(info.value) != f"in pid {parent}"
         assert len(forks) == 1
 
-    def test_parent_exception_takes_its_block_place(self, monkeypatch, forks):
-        # the parent's own (last) block raises, but an earlier block
-        # found a counterexample: that one is the result
-        parent = os.getpid()
-        first = _decoder_order(10, 2)[0]
-
-        def decode(received, params):
-            if os.getpid() == parent:
-                raise TypeError("parent block")
-            out = real_decode(received, params)
-            if out.word == first:
-                raise DecodeFailure("refused")
-            return out
-
-        monkeypatch.setattr(oracle, "decode", decode)
+    def test_parent_exception_takes_its_block_place(self, monkeypatch, forks, race):
+        # the parent raises in chunk K2 before a child finds a
+        # counterexample in chunk K1: that one is the result
+        run = race("child", _refuse, _crash)
+        _set_cpus(monkeypatch, 1)
+        serial = verify_decoder(10, 2)
+        run.armed = True
         _set_cpus(monkeypatch, 2)
         res = verify_decoder(10, 2)
+        assert res == serial
         assert not res.ok
-        assert res.counterexample["word"] == first
+        assert res.counterexample["word"] == WORD_K1
         assert len(forks) == 1
 
     def test_child_that_dies_is_no_pass(self, monkeypatch, forks):
+        # the child writes the chunk of its first word and dies; the
+        # parent holds until then, so that the child claims a chunk
         parent = os.getpid()
-        real = oracle.reconstruct_two
+        real = oracle.read_vector
+        named = os.pipe()
 
-        def reconstruct_two(first, second, window, n):
+        def read_vector(x, window):
             if os.getpid() != parent:
+                os.write(named[1], bytes([_chunk_of(x)]))
                 os._exit(1)
-            return real(first, second, window, n)
+            _wait(named)
+            return real(x, window)
 
-        monkeypatch.setattr(oracle, "reconstruct_two", reconstruct_two)
+        monkeypatch.setattr(oracle, "read_vector", read_vector)
         _set_cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=r"without a result \(exit code 1\)"):
-            verify_reconstruction(10, 2)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                verify_reconstruction(10, 2)
+            chunk = os.read(named[0], 1)[0]
+        finally:
+            os.close(named[0])
+            os.close(named[1])
+        assert str(info.value) == (
+            f"oracle chunk {chunk} ended without a result (exit code 1)"
+        )
         assert len(forks) == 1
 
 

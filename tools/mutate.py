@@ -88,10 +88,10 @@ MUTANTS = [
         "if True:",
     ),
     (
-        "fan-out merges the parent's block first",
+        "fan-out merges its chunks in claim order",
         "src/nanoread/oracle.py",
-        "for ok, value in outcomes + [own]:",
-        "for ok, value in [own] + outcomes:",
+        "    for c in range(chunks):\n",
+        "    for c in outcomes:\n",
     ),
     (
         "verify passes a run that checked nothing",
@@ -136,10 +136,10 @@ MUTANTS = [
         "if u[i] == u[i + 1]}",
     ),
     (
-        "ball equivalence runs its blocks in reverse",
+        "fan-out chunks take their prefix bits reversed",
         "src/nanoread/oracle.py",
-        "_in_blocks(check, list(all_words(n)), BALL_US)",
-        "_in_blocks(check, list(all_words(n))[::-1], BALL_US)",
+        "prefix = _nth_word(c, b)",
+        "prefix = _nth_word(c, b)[::-1]",
     ),
     (
         "overlap index drops the count of a one-ball bucket",
