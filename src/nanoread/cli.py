@@ -232,17 +232,24 @@ def _code_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
     ]
 
 
-def _run_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
-    return [{"n": n, "a": a} for n in ns for a in range(1, n + 1)]
+def _by_threshold(default):
+    """Cells {n, a} over ns and the thresholds --l names, default(n) when
+    it is omitted; a <= n throughout, where the checks are defined."""
 
+    def cells(ns: list[int], ls: list[int] | None) -> list[dict]:
+        return [
+            {"n": n, "a": a}
+            for n in ns
+            for a in (default(n) if ls is None else ls)
+            if a <= n
+        ]
 
-def _tail_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
-    # the expectation behind the bound needs a <= n
-    a_values = [1, 2, 3] if ls is None else ls
-    return [{"n": n, "a": a} for n in ns for a in a_values if a <= n]
+    return cells
 
 
 def _word_cells(ns: list[int], ls: list[int] | None) -> list[dict]:
+    if ls is not None:
+        raise ValueError("verify sticky-size: --l does not apply; it runs r = 1..n")
     return [{"n": n} for n in ns]
 
 
@@ -264,8 +271,10 @@ VERIFY_CHECKS = {
     "decoder": (oracle.verify_decoder, _by_window(skip=lambda n, l: n < l)),
     "code-property": (_code_property, _code_cells),
     "validity-image": (oracle.verify_validity_image, _by_window()),
-    "expected-runs": (oracle.verify_expected_runs, _run_cells),
-    "tail-bound": (oracle.verify_tail_bound, _tail_cells),
+    "expected-runs": (
+        oracle.verify_expected_runs, _by_threshold(lambda n: range(1, n + 1))
+    ),
+    "tail-bound": (oracle.verify_tail_bound, _by_threshold(lambda n: (1, 2, 3))),
     "sticky-size": (oracle.verify_sticky_size, _word_cells),
     "sphere-packing": (
         oracle.verify_sphere_packing, _by_window(skip=lambda n, l: n < 1)

@@ -24,14 +24,13 @@ on, in word-prefix chunks: chunk c holds the words whose top
 ``CHUNK_BITS`` bits are c, in lexicographic order.  Every process, the
 parent and its forked children, claims the next chunk from one pipe,
 so a process that draws cheap chunks takes more of them.  The process
-count follows the work, not the words: each check states its cost per
-word, and each process gets at least ``MIN_BLOCK_US`` of it, so the
-cheap ball-equivalence check needs about three times the words the
-decoder needs to fork.  The chunk results are merged in chunk order, so
-each ``CheckResult`` is the one the serial run gives.  They stay serial
+count follows the word count alone: each process gets at least
+``MIN_BLOCK`` words, whatever the check, so all three fork from n = 9
+on two CPUs.  The chunk results are merged in chunk order, so each
+``CheckResult`` is the one the serial run gives.  They stay serial
 when ``os.fork`` is missing, when one CPU is available, when the
-enumeration holds too little work to split, or when the process runs
-more than one thread.
+enumeration holds fewer than two blocks of words, or when the process
+runs more than one thread.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from itertools import combinations, product
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import bounds
+from . import bounds, core
 from .balls import (
     deletion_ball,
     restricted_ball,
@@ -64,7 +63,6 @@ from .core import (
     ResourceLimitError,
     Word,
     _slot_bytes,
-    _window_slots,
     all_words,
     is_valid_read_vector,
     read_vector,
@@ -77,16 +75,14 @@ MAX_VALIDITY_CANDIDATES = 4**12
 # at window 1 every word's in-run ball is its whole deletion ball and the
 # conflict graph is one dense component: exact search stops earlier
 MAX_EXACT_MIS_N_WINDOW_1 = 6
-# least work per forked process, in us: about twice what a fork and reap
-# costs in a warmed process (1.7 ms), since two 256-word blocks of ball
-# equivalence (n = 9) came out slower than one serial run
-MIN_BLOCK_US = 4000
-# the serial cost per word of each fanned check, in us, rounded from
-# timings at n = 8..10, l = 2, 3 on a 2-vCPU host: the decoder and
-# reconstruction split from n = 8 on two CPUs, ball equivalence from 10
-DECODE_US = 40
-RECONSTRUCT_US = 40
-BALL_US = 12
+# least words per process, whatever the check.  On a 2-vCPU host a
+# one-child split at n = 8 saved the decoder and reconstruction 1-3 ms a
+# cell in BENCH_word_blocks.json and nothing measurable in
+# BENCH_prefix_chunks.json; ball equivalence, under a third of their
+# cost per word, splits at n = 9 within 1 ms of its serial run.  End to
+# end the verify sweep runs within about 1% of a rule that sized the
+# processes by each check's cost per word.
+MIN_BLOCK = 256
 # the top bits of a word that name its fan-out chunk: 32 chunks from n = 5
 CHUNK_BITS = 5
 
@@ -130,10 +126,9 @@ def _chunk(n: int, c: int) -> Iterator[Word]:
     return (prefix + rest for rest in product((0, 1), repeat=n - b))
 
 
-def _by_chunks(check: Check, n: int, us_per_word: int) -> ChunkResult:
+def _by_chunks(check: Check, n: int) -> ChunkResult:
     """check over ``all_words(n)``, as if in one call, fanned out over
-    one process per CPU when the words hold at least ``MIN_BLOCK_US``
-    of work per process at us_per_word.
+    one process per CPU while each gets at least ``MIN_BLOCK`` words.
 
     The parent writes the chunk indices, one byte each, into a pipe and
     forks the children; every process, the parent too, claims chunks
@@ -146,7 +141,7 @@ def _by_chunks(check: Check, n: int, us_per_word: int) -> ChunkResult:
     it, which are the counts of the serial run.
     """
     words = all_words(n)  # the size guard, before any fork
-    procs = min(_cpus(), (us_per_word << n) // MIN_BLOCK_US)
+    procs = min(_cpus(), (1 << n) // MIN_BLOCK)
     if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return check(words)
     import pickle
@@ -325,9 +320,9 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
     """Compare the restricted ball of each read vector with the in-run
     deletion image set, both directions, over all words of length n.
 
-    The lemma is about deletions from a word, so n must be >= 1.  At
-    ``BALL_US`` a word, under a third of the decoder's cost, it fans out
-    from n = 10 on two CPUs, two steps of n after the decoder.
+    The lemma is about deletions from a word, so n must be >= 1.  It
+    fans out as the decoder does, from n = 9 on two CPUs, though a word
+    costs it under a third of a decode.
     """
     if n < 1:
         raise ValueError("ball equivalence needs n >= 1")
@@ -344,7 +339,7 @@ def verify_ball_equivalence(n: int, window: int) -> CheckResult:
                 }, 0
         return checked, None, 0
 
-    checked, counterexample, _ = _by_chunks(check, n, BALL_US)
+    checked, counterexample, _ = _by_chunks(check, n)
     return CheckResult(
         ok=counterexample is None, checked=checked, counterexample=counterexample
     )
@@ -382,13 +377,14 @@ def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
             yield i, counts
 
 
-def _packed_ball(levels: Sequence[int], k: int) -> set[bytes]:
+def _packed_ball(levels: Sequence[int], window: int) -> set[bytes]:
     """The deletion ball of levels, each result packed by
-    ``_slot_bytes`` in k-byte slots, k the window's slot width.
+    ``_slot_bytes`` in the window's slot width.
 
     Distinct results pack to distinct bytes: every entry is at most the
-    window, which a k-byte slot holds.
+    window, which its slot holds.
     """
+    k, _ = core._window_slots(window)
     return {_slot_bytes(d, k) for d in deletion_ball(levels)}
 
 
@@ -403,8 +399,7 @@ def verify_intersection_bound(n: int, window: int) -> CheckResult:
     The witness is the pair (a, b), a < b in enumeration order, of
     largest overlap, the smallest such pair on a tie.
     """
-    k, _ = _window_slots(window)
-    balls = (_packed_ball(read_vector(x, window), k) for x in all_words(n))
+    balls = (_packed_ball(read_vector(x, window), window) for x in all_words(n))
     best, a, b = 0, 0, 0
     for i, counts in _overlaps(balls):
         top = max(counts.values())
@@ -548,8 +543,7 @@ def verify_code_property(
         codewords = enumerate_code(params)
     k = len(codewords)
     w = params.window
-    slot, _ = _window_slots(w)
-    balls = (_packed_ball(read_vector(x, w), slot) for x in codewords)
+    balls = (_packed_ball(read_vector(x, w), w) for x in codewords)
     first = min(((min(counts), i) for i, counts in _overlaps(balls)), default=None)
     if first is None:
         return CheckResult(ok=True, checked=k * (k - 1) // 2, detail={"codewords": k})
@@ -590,7 +584,7 @@ def verify_decoder(n: int, window: int) -> CheckResult:
                 }, 0
         return checked, None, 0
 
-    checked, counterexample, _ = _by_chunks(check, n, DECODE_US)
+    checked, counterexample, _ = _by_chunks(check, n)
     return CheckResult(
         ok=counterexample is None, checked=checked, counterexample=counterexample
     )
@@ -625,7 +619,7 @@ def verify_reconstruction(n: int, window: int) -> CheckResult:
                 return checked, {"word": x, "reads": (r1, r2), **found}, skipped
         return checked, None, skipped
 
-    checked, counterexample, skipped = _by_chunks(check, n, RECONSTRUCT_US)
+    checked, counterexample, skipped = _by_chunks(check, n)
     if counterexample is not None:
         return CheckResult(ok=False, checked=checked, counterexample=counterexample)
     return CheckResult(ok=True, checked=checked, detail={"skipped_singletons": skipped})

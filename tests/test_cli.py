@@ -291,6 +291,24 @@ class TestVerify:
         cells = [(r["n"], r["a"]) for r in map(json.loads, out.splitlines())]
         assert cells == [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
+    def test_expected_runs_takes_a_from_l(self, capsys):
+        # --l names the thresholds, as for tail-bound, wherever a <= n
+        code, out, _ = run(
+            capsys, "verify", "expected-runs", "--n", "2..4", "--l", "2..3"
+        )
+        assert code == 0
+        cells = [(r["n"], r["a"]) for r in map(json.loads, out.splitlines())]
+        assert cells == [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]
+
+    def test_sticky_size_refuses_l(self, capsys):
+        # sticky-size runs every r = 1..n: an --l it would ignore is an error
+        code, out, err = run(capsys, "verify", "sticky-size", "--n", "3", "--l", "2")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: verify sticky-size: --l does not apply; it runs r = 1..n\n"
+        )
+
     def test_every_cell_skipped_is_usage_error(self, capsys):
         # a > n for every cell: tail-bound produces no record
         code, out, _ = run(capsys, "verify", "tail-bound", "--n", "3", "--l", "5")
@@ -390,8 +408,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", list(cli.VERIFY_CHECKS))
     def test_every_check_passes_at_tiny_range(self, capsys, check):
-        extra = ["--exact-only"] if check == "sphere-packing" else []
-        code, out, _ = run(capsys, "verify", check, "--n", "3..4", "--l", "2", *extra)
+        # sticky-size takes no --l
+        extra = {"sphere-packing": ["--l", "2", "--exact-only"], "sticky-size": []}
+        args = extra.get(check, ["--l", "2"])
+        code, out, _ = run(capsys, "verify", check, "--n", "3..4", *args)
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert records

@@ -382,8 +382,8 @@ class TestClaimChecks:
 
     @pytest.mark.parametrize("index", [100, 1000])
     def test_ball_equivalence_fault(self, monkeypatch, forks, index):
-        # one element dropped from one word's restricted ball, in the
-        # forked block (100) or the parent's own (1000) on two CPUs
+        # one element dropped from one word's restricted ball, in chunk
+        # 3 (word 100) or chunk 31 (word 1000) of the fan-out on two CPUs
         word = list(all_words(10))[index]
         target = read_vector(word, 2)
         real = oracle.restricted_ball
@@ -438,8 +438,9 @@ class TestClaimChecks:
         assert oracle.verify_sphere_packing(9, 2).ok is False
 
 
-# each fanned check and the least n at which it splits on two CPUs
-FANNED = {"verify_decoder": 8, "verify_reconstruction": 8, "verify_ball_equivalence": 10}
+# the fanned checks, and the least n at which all of them split on two CPUs
+FANNED = ("verify_decoder", "verify_reconstruction", "verify_ball_equivalence")
+FANNED_FROM = 9
 # the verify-sweep cells, and one larger
 SWEEP = [(n, l) for l in (2, 3) for n in range(l, 12)] + [(12, 2)]
 
@@ -562,8 +563,8 @@ class TestFanOut:
             serial = verify(n, l)
             _set_cpus(monkeypatch, 2)
             assert verify(n, l) == serial, (n, l)
-        # every cell from the check's least n on forks one child
-        assert len(forks) == sum(n >= FANNED[check] for n, _ in SWEEP)
+        # every cell from the least fanned n on forks one child
+        assert len(forks) == sum(n >= FANNED_FROM for n, _ in SWEEP)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_forks_at_most_cpus_less_one(self, monkeypatch, forks, cpus):
@@ -576,11 +577,22 @@ class TestFanOut:
         assert len(forks) <= oracle._cpus() - 1
 
     def test_small_cell_stays_serial(self, monkeypatch, forks):
-        # the largest cell of each check below two processes' work
+        # the largest cell below two blocks of words
         _set_cpus(monkeypatch, 4)
-        for check, n in FANNED.items():
-            assert getattr(oracle, check)(n - 1, 2).ok, check
+        for check in FANNED:
+            assert getattr(oracle, check)(FANNED_FROM - 1, 2).ok, check
         assert forks == []
+
+    @pytest.mark.parametrize("check", FANNED)
+    def test_processes_follow_the_words(self, monkeypatch, forks, check):
+        # one process per MIN_BLOCK words, up to the CPUs, whatever the
+        # check: on four CPUs 0, 1 and 3 children at n = 8, 9 and 10
+        _set_cpus(monkeypatch, 4)
+        children = []
+        for n in (8, 9, 10):
+            assert getattr(oracle, check)(n, 2).ok, n
+            children.append(len(forks) - sum(children))
+        assert children == [0, 1, 3]
 
     def test_without_fork_stays_serial(self, monkeypatch, forks):
         _set_cpus(monkeypatch, 2)

@@ -142,6 +142,18 @@ MUTANTS = [
         "prefix = _nth_word(c, b)[::-1]",
     ),
     (
+        "fan-out blocks halve",
+        "src/nanoread/oracle.py",
+        "MIN_BLOCK = 256\n",
+        "MIN_BLOCK = 128\n",
+    ),
+    (
+        "fan-out blocks double",
+        "src/nanoread/oracle.py",
+        "MIN_BLOCK = 256\n",
+        "MIN_BLOCK = 512\n",
+    ),
+    (
         "overlap index drops the count of a one-ball bucket",
         "src/nanoread/oracle.py",
         "                counts[earlier] = counts.get(earlier, 0) + 1\n"
