@@ -7,14 +7,18 @@ input errors.  Commands raise every such error; ``main`` alone turns it
 into exit 2 with ``error: ...`` on stderr.  ``verify`` looks its check
 up in ``VERIFY_CHECKS``.
 
-Randomness comes from Python's Mersenne Twister; each trial uses the
-sub-seed ``seed * 1_000_003 + trial`` so reports are reproducible and
-independent of scheduling.
+``roundtrip`` and ``reconstruct`` share one trial driver: any failed
+trial exits 1, in ``roundtrip`` with or without ``--p``, and a run whose
+every trial was skipped (out of model, or a one-read deletion ball)
+checked nothing and exits 2.  Randomness comes from Python's Mersenne
+Twister; each trial uses the sub-seed ``seed * 1_000_003 + trial`` so
+reports are reproducible and independent of scheduling.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import math
@@ -73,15 +77,55 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    return random.Random(seed * TRIAL_SEED_STRIDE + trial)
+def _trial_command(skips: str, refusal: str, summary: str):
+    """Make a trial command of setup(args), which checks the command's own
+    arguments after --trials and returns (trial, record).  Trial t calls
+    trial(rng), rng seeded ``seed * TRIAL_SEED_STRIDE + t``, for True,
+    False, or None when skipped.  The tally joins the command's own keys
+    in the record, skips under record[skips], and the summary is formatted
+    from it.  A run of only skips is refused; any failed trial exits 1.
+    """
+
+    def decorate(setup):
+        def cmd(args) -> int:
+            name, trials = args.command, args.trials
+            if trials < 1:
+                raise ValueError(
+                    f"{name}: --trials {trials} runs no trial; need at least 1"
+                )
+            trial, record = setup(args)
+            tally = collections.Counter(
+                trial(random.Random(args.seed * TRIAL_SEED_STRIDE + t))
+                for t in range(trials)
+            )
+            if tally[None] == trials:
+                raise ValueError(f"{name}: all {trials} trials were {refusal}")
+            record.update(
+                command=name,
+                n=args.n,
+                l=args.l,
+                trials=trials,
+                seed=args.seed,
+                successes=tally[True],
+                failures=tally[False],
+                **{skips: tally[None]},
+            )
+            _emit(record)
+            _note(summary.format(**record))
+            return 1 if tally[False] else 0
+
+        return cmd
+
+    return decorate
 
 
-def cmd_roundtrip(args) -> int:
-    if args.trials < 1:
-        raise ValueError(
-            f"roundtrip: --trials {args.trials} runs no trial; need at least 1"
-        )
+@_trial_command(
+    "out_of_model",
+    "out of model; no trial was checked",
+    "roundtrip: {successes}/{trials} ok, {failures} failed, "
+    "{out_of_model} out of model",
+)
+def cmd_roundtrip(args):
     if args.p is not None and not 0 <= args.p <= 1:
         raise ValueError(
             f"roundtrip: --p {args.p} is not a probability; need 0 <= p <= 1"
@@ -91,104 +135,60 @@ def cmd_roundtrip(args) -> int:
         residue, _ = code.best_residue(args.n, args.l)
     params = code.CodeParams(n=args.n, window=args.l, residue=residue)
     codewords = code.enumerate_code(params)
-    mode = "iid-deletion" if args.p is not None else "exactly-one-deletion"
+    paths = collections.Counter()
 
-    successes = failures = out_of_model = 0
-    paths: dict[str, int] = {}
-    for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
+    def trial(rng):
         x = codewords[rng.randrange(len(codewords))]
         rv = core.read_vector(x, args.l)
-        if mode == "exactly-one-deletion":
+        if args.p is None:
             pos = rng.randrange(len(rv))
             received = rv[:pos] + rv[pos + 1 :]
         else:
             received = tuple(s for s in rv if rng.random() >= args.p)
         if len(received) < len(rv) - 1:
-            out_of_model += 1
-            continue
+            return None
         try:
             outcome = code.decode(received, params)
         except ValueError:
-            failures += 1
-            continue
-        if outcome.word == x:
-            successes += 1
-            paths[outcome.path] = paths.get(outcome.path, 0) + 1
-        else:
-            failures += 1
+            return False
+        if outcome.word != x:
+            return False
+        paths[outcome.path] += 1
+        return True
 
-    record = {
-        "command": "roundtrip",
-        "n": args.n,
-        "l": args.l,
+    return trial, {
         "a": residue,
-        "mode": mode,
+        "mode": "exactly-one-deletion" if args.p is None else "iid-deletion",
         "p": args.p,
-        "trials": args.trials,
-        "seed": args.seed,
-        "successes": successes,
-        "failures": failures,
-        "out_of_model": out_of_model,
         "paths": paths,
     }
-    _emit(record)
-    _note(
-        f"roundtrip: {successes}/{args.trials} ok, {failures} failed, "
-        f"{out_of_model} out of model"
-    )
-    if mode == "exactly-one-deletion" and failures:
-        return 1
-    return 0
 
 
-def cmd_reconstruct(args) -> int:
-    if args.trials < 1:
-        raise ValueError(
-            f"reconstruct: --trials {args.trials} runs no trial; need at least 1"
-        )
+@_trial_command(
+    "skipped_singletons",
+    "singleton skips; no pair of reads was checked",
+    "reconstruct: {successes} ok, {failures} failed, "
+    "{skipped_singletons} singleton skips",
+)
+def cmd_reconstruct(args):
     if args.l < 2:
         raise ValueError("reconstruction requires --l >= 2")
-    successes = failures = skipped = 0
-    for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
+    if args.n < 0:
+        raise ValueError("word length must be >= 0")
+
+    def trial(rng):
         x = tuple(rng.randrange(2) for _ in range(args.n))
         rv = core.read_vector(x, args.l)
         ball = sorted(balls.deletion_ball(rv))
         if len(ball) < 2:
-            skipped += 1
-            continue
+            return None
         i, j = rng.sample(range(len(ball)), 2)
         try:
-            got = reconstruct.reconstruct_two(ball[i], ball[j], args.l, args.n)
+            return reconstruct.reconstruct_two(ball[i], ball[j], args.l, args.n) == rv
         except reconstruct.InconsistentReadsError:
-            failures += 1
-            continue
-        if got == rv:
-            successes += 1
-        else:
-            failures += 1
-    if not successes + failures:
-        raise ValueError(
-            f"reconstruct: all {skipped} trials were singleton skips; "
-            "no pair of reads was checked"
-        )
+            return False
 
-    record = {
-        "command": "reconstruct",
-        "n": args.n,
-        "l": args.l,
-        "trials": args.trials,
-        "seed": args.seed,
-        "successes": successes,
-        "failures": failures,
-        "skipped_singletons": skipped,
-    }
-    _emit(record)
-    _note(
-        f"reconstruct: {successes} ok, {failures} failed, {skipped} singleton skips"
-    )
-    return 1 if failures else 0
+    return trial, {}
 
 
 _STATUS = {True: "pass", False: "fail", None: "inconclusive"}

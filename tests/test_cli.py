@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -123,11 +124,37 @@ class TestRoundtrip:
         assert "--p" in err
 
     def test_probability_one_accepted(self, capsys):
-        code, out, _ = run(
+        # p = 1 is a probability, but it deletes every symbol: every trial
+        # is out of model and the run, having checked nothing, is refused
+        code, out, err = run(
             capsys, "roundtrip", "--n", "6", "--l", "2", "--trials", "3", "--p", "1"
         )
-        assert code == 0
-        assert json.loads(out)["out_of_model"] == 3
+        assert code == 2
+        assert out == ""
+        assert "not a probability" not in err
+        assert err == (
+            "error: roundtrip: all 3 trials were out of model; no trial was checked\n"
+        )
+
+    @pytest.mark.parametrize("p", [(), ("--p", "0.05")], ids=["one-deletion", "iid"])
+    def test_wrong_decode_exits_1(self, capsys, monkeypatch, p):
+        # a decoder that answers the complemented word fails every trial
+        # it is given, in either mode
+        decode = cli.code.decode
+
+        def complemented(received, params):
+            outcome = decode(received, params)
+            return dataclasses.replace(outcome, word=tuple(1 - b for b in outcome.word))
+
+        monkeypatch.setattr(cli.code, "decode", complemented)
+        status, out, err = run(
+            capsys, "roundtrip", "--n", "6", "--l", "2", "--trials", "20", *p
+        )
+        assert status == 1
+        rec = json.loads(out)
+        assert (rec["successes"], rec["paths"]) == (0, {})
+        assert rec["failures"] == 20 - rec["out_of_model"] > 0
+        assert f"0/20 ok, {rec['failures']} failed" in err
 
 
 class TestReconstructCmd:
@@ -169,6 +196,69 @@ class TestReconstructCmd:
         assert code == 2
         assert out == ""
         assert "5 trials were singleton skips" in err
+
+    def test_negative_length_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "reconstruct", "--n", "-4", "--l", "2", "--trials", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: word length must be >= 0\n"
+
+    def test_wrong_reconstruction_exits_1(self, capsys, monkeypatch):
+        reconstruct_two = cli.reconstruct.reconstruct_two
+        monkeypatch.setattr(
+            cli.reconstruct,
+            "reconstruct_two",
+            lambda *reads: reconstruct_two(*reads)[::-1],
+        )
+        status, out, err = run(
+            capsys, "reconstruct", "--n", "10", "--l", "2", "--trials", "50"
+        )
+        assert status == 1
+        rec = json.loads(out)
+        assert rec["failures"] > 0
+        assert f"{rec['failures']} failed" in err
+
+
+# the full output of passing trial runs: (argv, stdout, stderr); the
+# records and summaries pin every trial's sub-seed
+TRIAL_RUNS = [
+    (
+        ("roundtrip", "--n", "8", "--l", "2", "--trials", "200", "--seed", "42"),
+        '{"a": 0, "command": "roundtrip", "failures": 0, "l": 2, '
+        '"mode": "exactly-one-deletion", "n": 8, "out_of_model": 0, "p": null, '
+        '"paths": {"immediate": 18, "vt": 182}, "seed": 42, "successes": 200, '
+        '"trials": 200}\n',
+        "roundtrip: 200/200 ok, 0 failed, 0 out of model\n",
+    ),
+    (
+        (
+            "roundtrip", "--n", "8", "--l", "2", "--trials", "200", "--seed", "3",
+            "--p", "0.4",
+        ),
+        '{"a": 0, "command": "roundtrip", "failures": 0, "l": 2, '
+        '"mode": "iid-deletion", "n": 8, "out_of_model": 188, "p": 0.4, '
+        '"paths": {"immediate": 1, "no-deletion": 1, "vt": 10}, "seed": 3, '
+        '"successes": 12, "trials": 200}\n',
+        "roundtrip: 12/200 ok, 0 failed, 188 out of model\n",
+    ),
+    (
+        ("reconstruct", "--n", "10", "--l", "2", "--trials", "300", "--seed", "5"),
+        '{"command": "reconstruct", "failures": 0, "l": 2, "n": 10, "seed": 5, '
+        '"skipped_singletons": 0, "successes": 300, "trials": 300}\n',
+        "reconstruct: 300 ok, 0 failed, 0 singleton skips\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, stderr",
+    TRIAL_RUNS,
+    ids=["roundtrip", "roundtrip-iid", "reconstruct"],
+)
+def test_trial_run_output(capsys, argv, stdout, stderr):
+    assert run(capsys, *argv) == (0, stdout, stderr)
 
 
 # one pinned record per check, its first at a tiny cell: (args after

@@ -100,6 +100,18 @@ MUTANTS = [
         "if False:",
     ),
     (
+        "a failed trial exits 0",
+        "src/nanoread/cli.py",
+        "return 1 if tally[False] else 0",
+        "return 0",
+    ),
+    (
+        "a run of skipped trials is not refused",
+        "src/nanoread/cli.py",
+        "if tally[None] == trials:",
+        "if False:",
+    ),
+    (
         "wide-slot word test ignores the high bytes",
         "src/nanoread/core.py",
         "k > 1 and raw.count(1) != low.count(1)",
