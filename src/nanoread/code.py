@@ -2,9 +2,10 @@
 
 Codewords are binary words whose read-vector mod-2 prefix satisfies a
 weighted checksum fixed modulo n+1.  A single deletion anywhere in the
-read vector is corrected either immediately (a gap of 2 between
-adjacent entries pins the error position) or by classical
-insertion-correcting decoding of the truncated mod-2 prefix.
+read vector is corrected by insertion-correcting decoding of the
+truncated mod-2 prefix: a deletion deletes one of the first n parities
+or cuts off the last, so VT insertion on the first n - 1 recovers the
+codeword.  A gap of 2 between adjacent entries only names the path.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class CodeParams:
 @dataclass(frozen=True)
 class DecodeOutcome:
     word: Word
-    path: str  # "no-deletion", "immediate" or "vt"
+    path: str  # "no-deletion", "immediate" (the deletion left a gap of 2) or "vt"
 
 
 def _checksum(bits: Sequence[int], n: int) -> int:
@@ -147,9 +148,9 @@ def immediate_correct(candidate: Sequence[int]) -> tuple[int, ...] | None:
     """Repair a deletion that left a gap of 2 between adjacent entries.
 
     Returns the repaired read vector, or None when every adjacent
-    difference is at most 1 (the gap-free case needs checksum decoding).
-    A wider gap, or an entry the scan reaches that is not a number,
-    raises ``MalformedInputError``.
+    difference is at most 1.  A wider gap, or an entry the scan reaches
+    that is not a number, raises ``MalformedInputError``: ``decode``
+    calls it on a shortened read it cannot decode, to type the error.
     """
     candidate = tuple(candidate)
     for i in range(len(candidate) - 1):
@@ -209,63 +210,46 @@ def _vt_insert(received: bytes, residue: int, n: int) -> bytes:
     return received[:i] + b"\x01" + received[i:]
 
 
-def _codeword(levels: tuple[int, ...], params: CodeParams, invalid: str) -> Word:
-    """The word of levels if it is a read vector of a codeword.
-
-    Raises ``DecodeFailure`` with the message invalid when levels is not
-    a legitimate read vector, and another when its word is not in the
-    code.
-    """
-    x = _word_bytes(levels, params.window, params.n)
-    if x is None:
-        raise DecodeFailure(invalid)
-    if _levels_syndrome(levels, params.window, params.n) != params.residue:
-        raise DecodeFailure("the read vector's word is not a codeword")
-    return tuple(x)
-
-
 def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     """Recover the transmitted codeword from an intact or once-deleted read.
 
-    Full-length inputs are inverted directly.  Shortened inputs first
-    try gap repair; failing that (the vt path), the input is packed once
-    in the window's slots, its first n-1 parities are decoded against
-    the checksum, the word is rebuilt from the recovered prefix, and one
-    xor and one shift comparison of the packed input and the word's
-    packed read vector test that the input is one deletion of it.  An
-    entry that does not pack (not an int in [0, 256^k)) is no deletion
-    of a read vector.  The result is a codeword whose read vector is
-    the input or one deletion of it; when no codeword is,
-    ``DecodeFailure`` is raised (``MalformedInputError``, its subclass,
-    for a gap no single deletion leaves).
+    Full-length inputs are inverted directly.  A shortened input is
+    packed once in the window's slots, its first n-1 parities are
+    decoded against the checksum, the word is rebuilt from the
+    recovered prefix, and one xor and one shift comparison of the
+    packed input and the word's packed read vector test that the input
+    is one deletion of it; the path is "immediate" when that deletion
+    left a gap of 2, else "vt".  An entry that does not pack (not an int
+    in [0, 256^k)) is no deletion of a read vector.  The result is a
+    codeword whose read vector is the input or one deletion of it; when
+    no codeword is, ``DecodeFailure`` is raised (``MalformedInputError``,
+    its subclass, where ``immediate_correct`` rejects the input).
     """
     candidate = tuple(candidate)
     n, window = params.n, params.window
     full = n + window - 1
 
     if len(candidate) == full:
-        x = _codeword(
-            candidate, params, "full-length input is not a legitimate read vector"
-        )
-        return DecodeOutcome(word=x, path="no-deletion")
+        x = _word_bytes(candidate, window, n)
+        if x is None:
+            raise DecodeFailure("full-length input is not a legitimate read vector")
+        if _levels_syndrome(candidate, window, n) != params.residue:
+            raise DecodeFailure("the read vector's word is not a codeword")
+        return DecodeOutcome(word=tuple(x), path="no-deletion")
 
     if len(candidate) != full - 1:
         raise ValueError(
             f"candidate length {len(candidate)} must be {full} or {full - 1}"
         )
 
-    repaired = immediate_correct(candidate)
-    if repaired is not None:
-        x = _codeword(
-            repaired, params, "gap repair did not yield a legitimate read vector"
-        )
-        return DecodeOutcome(word=x, path="immediate")
-
     packed = _read_parities(candidate, window, n - 1)
-    x = None
+    found = None
     if packed is not None:
         read, parities = packed
-        x = _deletion_source(read, _vt_insert(parities, params.residue, n), window)
-    if x is None:
+        found = _deletion_source(read, _vt_insert(parities, params.residue, n), window)
+    if found is None:
+        immediate_correct(candidate)  # raises for a gap no deletion leaves
         raise DecodeFailure("recovered word is inconsistent with the received read")
-    return DecodeOutcome(word=x, path="vt")
+    x, i = found  # a gap of 2 can only be at i, between the deleted entry's neighbours
+    gap = 0 < i < len(candidate) and abs(candidate[i] - candidate[i - 1]) == 2
+    return DecodeOutcome(word=x, path="immediate" if gap else "vt")

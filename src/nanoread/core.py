@@ -11,7 +11,7 @@ above, so that no window sum carries).  As polynomials the read vector
 is c(z) = x(z) * (1 + z + ... + z^(window-1)), so the transform is one
 multiplication by the window's all-ones number S, and a candidate is a
 read vector exactly when it divides by S with a quotient whose slots
-are bits.  The decoder's vt path packs its read once and tests it
+are bits.  The decoder packs a shortened read once and tests it
 against a recovered word's packed read vector with one xor and one
 shift comparison.  ``oracle.word_of`` keeps the per-entry recurrence as
 ground truth.
@@ -238,16 +238,18 @@ def _word_parities(x: Sequence[int], window: int) -> bytes:
     return _parities(levels, k, n)
 
 
-def _deletion_source(read: int, prefix: bytes, window: int) -> Word | None:
-    """The word whose read vector's mod-2 prefix is prefix, when deleting
-    one entry of that read vector leaves read; else None.
+def _deletion_source(read: int, prefix: bytes, window: int) -> tuple[Word, int] | None:
+    """The word whose read vector's mod-2 prefix is prefix, and the first
+    slot i where read and that read vector differ, when deleting one
+    entry of the read vector leaves read; else None.
 
     read is packed as ``_read_parities`` packs it and prefix holds one
     bit per byte.  The word comes from the xor-doubling steps, its read
-    vector R from one multiplication by S.  With the first slot i where
-    read and R differ found from the lowest set bit of their xor, R
-    loses one entry to give read exactly when read's slots from i on
-    equal R's from i + 1 on: one shift comparison.
+    vector R from one multiplication by S.  With i found from the lowest
+    set bit of the xor of read and R, R loses one entry to give read
+    exactly when read's slots from i on equal R's from i + 1 on: one
+    shift comparison.  When read and R never differ, i is read's length
+    n + window - 2.  The deleted entry lies in R's run that ends at i.
     """
     k, ones = _window_slots(window)
     n = len(prefix)
@@ -255,12 +257,13 @@ def _deletion_source(read: int, prefix: bytes, window: int) -> Word | None:
     bits = x.to_bytes(n, "little")
     full = (x if k == 1 else _pack(bits, k)) * ones
     diff = read ^ full
-    if diff:
-        slot = 8 * k
-        start = ((diff & -diff).bit_length() - 1) // slot * slot
-        if read >> start != full >> (start + slot):
-            return None
-    return tuple(bits)
+    if not diff:
+        return tuple(bits), n + window - 2
+    slot = 8 * k
+    start = ((diff & -diff).bit_length() - 1) // slot * slot
+    if read >> start != full >> (start + slot):
+        return None
+    return tuple(bits), start // slot
 
 
 def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nanoread.balls import rho_geq, sticky_ball
+from nanoread.code import best_residue
 from nanoread import oracle
 from nanoread.bounds import (
     _histograms,
@@ -40,6 +41,24 @@ class TestRedundancyLowerBound:
             val = redundancy_lower_bound(n, 2)
             assert val > prev
             prev = val
+
+    def test_pinned_to_the_formula(self):
+        # log2(n) - l + 1 - log2(2 / (1 - 2l/n) + 2^-l n exp(-(n-1) / 2^(2l+1)))
+        for n, l in ((5, 2), (9, 2), (10, 3), (64, 2), (1000, 4)):
+            tail = n / 2**l * math.exp(-(n - 1) / 2 ** (2 * l + 1))
+            inner = 2 / (1 - 2 * l / n) + tail
+            want = math.log2(n) - l + 1 - math.log2(inner)
+            assert redundancy_lower_bound(n, l) == pytest.approx(want, rel=1e-12)
+
+    def test_vt_code_within_an_additive_constant(self):
+        # the paper's code is optimal up to an additive constant: at
+        # n = 4096 the redundancy n - log2|VT_0(n)| exceeds the bound by
+        # 2.002 bits at l = 2 and 3.002 at l = 3.  The excess is not one
+        # constant for every l: at l = 5 it is 8.3
+        n = 4096
+        for l in (2, 3):
+            redundancy = n - math.log2(best_residue(n, l)[1])
+            assert abs(redundancy - redundancy_lower_bound(n, l) - l) < 0.05, l
 
     def test_follows_from_the_exact_sum(self):
         # the first link of the paper's chain: the closed form is at most
@@ -228,6 +247,16 @@ class TestPackingChain:
                 assert ws <= split <= closed, (n, w)
                 assert (closed == math.inf) == (n - 2 * w + 3 <= 0), (n, w)
 
+    def test_closed_form_tail_term_is_the_tail_bound(self):
+        # closed = 2^(n-1) exp(-(n-1) / 2^(2l+1)) + 2^(n+l) / (n - 2l + 3),
+        # and its first term is the tail bound at n - 1
+        for l in (2, 3, 4):
+            for n in (*range(2 * l, 40), 100, 300):
+                closed = packing_chain(n, l)[2]
+                tail = closed - 2 ** (n + l) / (n - 2 * l + 3)
+                bound = oracle.verify_tail_bound(n - 1, l).detail["bound"]
+                assert tail == pytest.approx(bound, rel=1e-9), (n, l)
+
     def test_closed_form_beyond_float_range(self):
         ws, split, closed = packing_chain(1100, 2)
         assert closed == math.inf
@@ -250,6 +279,14 @@ class TestBoundReport:
         rep = bound_report(4, 2)
         assert rep.lower_bound_bits is None
         assert rep.weighted_sum is not None
+
+    def test_fields_present_from_their_first_n(self):
+        # lower_bound_bits from n = 2l + 1, tail_count from n = 2
+        for w in (2, 3, 4):
+            rep = bound_report(2 * w + 1, w)
+            assert rep.lower_bound_bits == redundancy_lower_bound(2 * w + 1, w)
+        for rep in bound_table([2], [1, 2]):
+            assert rep.tail_count == tail_count(1, rep.window)
 
     def test_serializes_flat(self):
         d = bound_report(8, 2).to_dict()

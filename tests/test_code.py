@@ -245,6 +245,25 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode((1, 1), CodeParams(6, 3, 2))
 
+    def test_oversized_gap_rejected(self):
+        # no single deletion of a read vector leaves a gap of 3
+        with pytest.raises(MalformedInputError, match="gap of 3"):
+            decode((1, 1, 2, 2, 1, 0, 3), CodeParams(6, 3, 2))
+
+    def test_every_deletion_names_its_path(self):
+        # every word under its own residue, every deletion: the path is
+        # "immediate" exactly when the deletion left an adjacent gap of 2
+        for w in (1, 2, 3):
+            for n in range(w, 9):
+                for x in all_words(n):
+                    params = CodeParams(n, w, syndrome(x, n, w))
+                    rv = read_vector(x, w)
+                    for pos in range(len(rv)):
+                        read = rv[:pos] + rv[pos + 1 :]
+                        gap = any(abs(b - a) == 2 for a, b in zip(read, read[1:]))
+                        want = DecodeOutcome(x, "immediate" if gap else "vt")
+                        assert decode(read, params) == want, (x, w, pos)
+
     def test_exhaustive_small(self):
         for n, w in ((4, 2), (5, 3), (6, 2)):
             for a in range(n + 1):

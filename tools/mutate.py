@@ -66,8 +66,32 @@ MUTANTS = [
     (
         "codeword test skips the syndrome",
         "src/nanoread/code.py",
-        "if _levels_syndrome(levels, params.window, params.n) != params.residue:",
+        "if _levels_syndrome(candidate, window, n) != params.residue:",
         "if False:",
+    ),
+    (
+        "decode names every path vt",
+        "src/nanoread/code.py",
+        'path="immediate" if gap else "vt"',
+        'path="vt"',
+    ),
+    (
+        "label fires on any step",
+        "src/nanoread/code.py",
+        "abs(candidate[i] - candidate[i - 1]) == 2",
+        "abs(candidate[i] - candidate[i - 1]) >= 1",
+    ),
+    (
+        "label ignores the first-slot guard",
+        "src/nanoread/code.py",
+        "gap = 0 < i < len(candidate) and",
+        "gap = i < len(candidate) and",
+    ),
+    (
+        "decode drops the malformed check",
+        "src/nanoread/code.py",
+        "        immediate_correct(candidate)  # raises for a gap no deletion leaves\n",
+        "",
     ),
     (
         "reconstruction skips the head test",
@@ -80,6 +104,32 @@ MUTANTS = [
         "src/nanoread/bounds.py",
         "max(0, -((2 * a - 4 - n) // 2 ** (a + 1)))",
         "max(0, (n - 2 * a + 4) // 2 ** (a + 1))",
+    ),
+    (
+        "redundancy bound's tail term decays from n",
+        "src/nanoread/bounds.py",
+        "2.0**-window * n * math.exp(-(n - 1) / 2 ** (2 * window + 1))",
+        "2.0**-window * n * math.exp(-n / 2 ** (2 * window + 1))",
+    ),
+    (
+        "packing chain's closed form drops its tail term",
+        "src/nanoread/bounds.py",
+        "        closed = math.ldexp(\n"
+        "            math.exp(-(n - 1) / 2 ** (2 * window + 1)), n - 1\n"
+        "        ) + 2 ** (n + window) / cutoff_num\n",
+        "        closed = 2 ** (n + window) / cutoff_num\n",
+    ),
+    (
+        "bound report starts the lower bound at n = 2l + 2",
+        "src/nanoread/bounds.py",
+        "if window >= 2 and n > 2 * window:",
+        "if window >= 2 and n > 2 * window + 1:",
+    ),
+    (
+        "bound report leaves the tail count out at n = 2",
+        "src/nanoread/bounds.py",
+        "tail_count=_tail_count(hist, n - 1, window) if n >= 2 else None,",
+        "tail_count=_tail_count(hist, n - 1, window) if n >= 3 else None,",
     ),
     (
         "reconstruction oracle accepts any result",
