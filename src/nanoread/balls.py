@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import ne
 from typing import Sequence
 
 from .core import read_vector
@@ -47,17 +49,21 @@ def sticky_ball(u: Sequence[int], r: int) -> set[Seq]:
     """One deletion from each maximal run of length >= r.
 
     For r=1 this is the full deletion ball; its size always equals the
-    number of runs of length >= r.
+    number of runs of length >= r.  One pass over the run boundaries
+    (every position whose symbol differs from the one before it, and
+    the end) gives each run's start and length, and a long run loses
+    its first symbol.  ``runs`` and ``rho_geq`` stay separate, so that
+    ``oracle.verify_sticky_size`` tests this against them.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     u = tuple(u)
     out: set[Seq] = set()
-    pos = 0
-    for _, length in runs(u):
-        if length >= r:
-            out.add(u[:pos] + u[pos + 1 :])
-        pos += length
+    start = 0
+    for end in chain(compress(range(1, len(u)), map(ne, u, u[1:])), (len(u),)):
+        if end - start >= r:
+            out.add(u[:start] + u[start + 1 :])
+        start = end
     return out
 
 

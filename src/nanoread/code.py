@@ -15,12 +15,15 @@ from itertools import compress
 from typing import Sequence
 
 from .core import (
+    _PACK_ERRORS,
     ResourceLimitError,  # noqa: F401  (re-exported)
     Word,
-    _deletion_source,
-    _read_parities,
+    _parities,
+    _slot_bytes,
+    _window_slots,
     _word_bytes,
     _word_parities,
+    _xor_doubling,
     all_words,
 )
 
@@ -62,7 +65,8 @@ def _levels_syndrome(levels: Sequence[int], window: int, n: int) -> int:
     """The checksum of the parities of the first n entries of a read
     vector: the syndrome of its word.  Every entry must pack in the
     window's slots, as a read vector's do."""
-    return _checksum(_read_parities(levels, window, n)[1], n)
+    k, _ = _window_slots(window)
+    return _checksum(_parities(_slot_bytes(levels, k), k, n), n)
 
 
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
@@ -214,13 +218,18 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     """Recover the transmitted codeword from an intact or once-deleted read.
 
     Full-length inputs are inverted directly.  A shortened input is
-    packed once in the window's slots, its first n-1 parities are
-    decoded against the checksum, the word is rebuilt from the
-    recovered prefix, and one xor and one shift comparison of the
-    packed input and the word's packed read vector test that the input
-    is one deletion of it; the path is "immediate" when that deletion
-    left a gap of 2, else "vt".  An entry that does not pack (not an int
-    in [0, 256^k)) is no deletion of a read vector.  The result is a
+    packed once in the window's slots, and its first n-1 parities are
+    taken off those bytes and decoded against the checksum by VT
+    insertion.  The word x comes from the recovered prefix by the
+    xor-doubling steps, its read vector R from one multiplication.  With
+    i the first slot where the packed input and R differ (found from the
+    lowest set bit of their xor; the input's length when they never
+    differ), R loses one entry to give the input exactly when the
+    input's slots from i on equal R's from i + 1 on: one shift
+    comparison.  The deleted entry then lies in R's run that ends at i,
+    and the path is "immediate" when its deletion left a gap of 2
+    there, else "vt".  An entry that does not pack (not an int in
+    [0, 256^k)) is no deletion of a read vector.  The result is a
     codeword whose read vector is the input or one deletion of it; when
     no codeword is, ``DecodeFailure`` is raised (``MalformedInputError``,
     its subclass, where ``immediate_correct`` rejects the input).
@@ -237,19 +246,27 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
             raise DecodeFailure("the read vector's word is not a codeword")
         return DecodeOutcome(word=tuple(x), path="no-deletion")
 
-    if len(candidate) != full - 1:
-        raise ValueError(
-            f"candidate length {len(candidate)} must be {full} or {full - 1}"
-        )
+    m = full - 1
+    if len(candidate) != m:
+        raise ValueError(f"candidate length {len(candidate)} must be {full} or {m}")
 
-    packed = _read_parities(candidate, window, n - 1)
-    found = None
-    if packed is not None:
-        read, parities = packed
-        found = _deletion_source(read, _vt_insert(parities, params.residue, n), window)
-    if found is None:
-        immediate_correct(candidate)  # raises for a gap no deletion leaves
-        raise DecodeFailure("recovered word is inconsistent with the received read")
-    x, i = found  # a gap of 2 can only be at i, between the deleted entry's neighbours
-    gap = 0 < i < len(candidate) and abs(candidate[i] - candidate[i - 1]) == 2
-    return DecodeOutcome(word=x, path="immediate" if gap else "vt")
+    k, ones = _window_slots(window)
+    try:
+        raw = _slot_bytes(candidate, k)
+    except _PACK_ERRORS:
+        pass  # an entry no slot holds: no deletion of a read vector
+    else:
+        p = _vt_insert(_parities(raw, k, n - 1), params.residue, n)
+        x = _xor_doubling(int.from_bytes(p, "little"), n, window)
+        bits = x.to_bytes(n, "little")
+        read = int.from_bytes(raw, "little")
+        rv = (x if k == 1 else int.from_bytes(_slot_bytes(bits, k), "little")) * ones
+        diff = read ^ rv
+        slot = 8 * k
+        i = ((diff & -diff).bit_length() - 1) // slot if diff else m
+        if read >> slot * i == rv >> slot * (i + 1):
+            # a gap of 2 can only be at i, between the deleted entry's neighbours
+            gap = 0 < i < m and abs(candidate[i] - candidate[i - 1]) == 2
+            return DecodeOutcome(word=tuple(bits), path="immediate" if gap else "vt")
+    immediate_correct(candidate)  # raises for a gap no deletion leaves
+    raise DecodeFailure("recovered word is inconsistent with the received read")

@@ -11,17 +11,19 @@ above, so that no window sum carries).  As polynomials the read vector
 is c(z) = x(z) * (1 + z + ... + z^(window-1)), so the transform is one
 multiplication by the window's all-ones number S, and a candidate is a
 read vector exactly when it divides by S with a quotient whose slots
-are bits.  The decoder packs a shortened read once and tests it
-against a recovered word's packed read vector with one xor and one
-shift comparison.  ``oracle.word_of`` keeps the per-entry recurrence as
+are bits.  ``oracle.word_of`` keeps the per-entry recurrence as
 ground truth.
 
-Each job on the packed format has one owner here: ``_slot_bytes`` and
-``_pack`` pack, ``_unpack`` unpacks slots of any width (the run
-histograms of ``bounds`` use it too), and ``_parities`` takes the
-mod-2 prefix off packed bytes: of a sequence through ``_read_parities``,
-for the code's checksum and for the decoder alike, and of a word's read
-vector through ``_word_parities``, for the syndrome.
+Each job on the packed format has one owner here: ``_slot_bytes``
+packs, in one call per sequence (``_PACK_ERRORS`` names what it raises
+for an entry no slot holds), ``_unpack`` unpacks slots of any width
+(the run histograms of ``bounds`` use it too), and ``_parities`` takes
+the mod-2 prefix off packed bytes: of a read for the decoder and the
+code's checksum, and of a word's read vector through
+``_word_parities``, for the syndrome.  At one byte per slot a word's
+bits are already its packed bytes, so ``read_vector`` and
+``_word_parities`` multiply them as they are and read the product's
+bytes back without ``_unpack``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BITS = b"\x00\x01"
 _PARITY = _BITS * 128  # byte -> its low bit, a bytes.translate table
 _NOT_BITS = "word entries must be bits (0 or 1)"
+# what ``_slot_bytes`` raises for an entry its slots cannot hold
+_PACK_ERRORS = (TypeError, ValueError, struct.error)
 
 
 @lru_cache(maxsize=64)
@@ -86,22 +90,17 @@ def _window_slots(window: int) -> tuple[int, int]:
 def _slot_bytes(entries: Sequence[int], k: int) -> bytes:
     """Entry i in slot i, k bytes wide, little-endian.
 
-    Raises ``ValueError``, ``TypeError`` or ``struct.error`` for an
-    entry that is not an int in [0, 256^k).
+    Raises one of ``_PACK_ERRORS`` for an entry that is not an int in
+    [0, 256^k).
     """
     if k == 1:
         return bytes(entries)
     return struct.pack(f"<{len(entries)}{_SLOT_FORMATS[k]}", *entries)
 
 
-def _pack(entries: Sequence[int], k: int) -> int:
-    """Entry i in slot i, k bytes wide, of one int (see ``_slot_bytes``)."""
-    return int.from_bytes(_slot_bytes(entries, k), "little")
-
-
 def _unpack(value: int, slots: int, k: int) -> tuple[int, ...]:
     """The first ``slots`` slots of value, k bytes each, little-endian:
-    _pack's inverse.
+    the inverse of ``_slot_bytes`` read as one little-endian int.
 
     Any k >= 1 serves; the widths of ``_SLOT_FORMATS`` take one call,
     any other one slice per slot.
@@ -141,7 +140,9 @@ def read_vector(x: Sequence[int], window: int) -> Levels:
     """
     k, ones = _window_slots(window)
     raw = _bit_bytes(x)
-    return _unpack(_pack(raw, k) * ones, len(raw) + window - 1, k)
+    m = len(raw) + window - 1
+    c = int.from_bytes(raw if k == 1 else _slot_bytes(raw, k), "little") * ones
+    return tuple(c.to_bytes(m, "little")) if k == 1 else _unpack(c, m, k)
 
 
 def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
@@ -190,8 +191,8 @@ def _word_bytes(levels: Sequence[int], window: int, n: int) -> bytes | None:
     """
     k, ones = _window_slots(window)
     try:
-        c = _pack(levels, k)
-    except (TypeError, ValueError, struct.error):
+        c = int.from_bytes(_slot_bytes(levels, k), "little")
+    except _PACK_ERRORS:
         return None
     q, r = divmod(c, ones)
     if r:
@@ -201,23 +202,6 @@ def _word_bytes(levels: Sequence[int], window: int, n: int) -> bytes | None:
     if raw.translate(None, _BITS) or k > 1 and raw.count(1) != low.count(1):
         return None
     return low
-
-
-def _read_parities(
-    levels: Sequence[int], window: int, count: int
-) -> tuple[int, bytes] | None:
-    """levels packed in the window's slots, and the parities of its
-    first count entries, one byte each.
-
-    None when an entry is not an int in [0, 256^k): no such sequence is
-    a read vector or a deletion of one.
-    """
-    k, _ = _window_slots(window)
-    try:
-        raw = _slot_bytes(levels, k)
-    except (TypeError, ValueError, struct.error):
-        return None
-    return int.from_bytes(raw, "little"), _parities(raw, k, count)
 
 
 def _parities(raw: bytes, k: int, count: int) -> bytes:
@@ -234,36 +218,8 @@ def _word_parities(x: Sequence[int], window: int) -> bytes:
     k, ones = _window_slots(window)
     raw = _bit_bytes(x)
     n = len(raw)
-    levels = (_pack(raw, k) * ones).to_bytes(k * (n + window - 1), "little")
-    return _parities(levels, k, n)
-
-
-def _deletion_source(read: int, prefix: bytes, window: int) -> tuple[Word, int] | None:
-    """The word whose read vector's mod-2 prefix is prefix, and the first
-    slot i where read and that read vector differ, when deleting one
-    entry of the read vector leaves read; else None.
-
-    read is packed as ``_read_parities`` packs it and prefix holds one
-    bit per byte.  The word comes from the xor-doubling steps, its read
-    vector R from one multiplication by S.  With i found from the lowest
-    set bit of the xor of read and R, R loses one entry to give read
-    exactly when read's slots from i on equal R's from i + 1 on: one
-    shift comparison.  When read and R never differ, i is read's length
-    n + window - 2.  The deleted entry lies in R's run that ends at i.
-    """
-    k, ones = _window_slots(window)
-    n = len(prefix)
-    x = _xor_doubling(int.from_bytes(prefix, "little"), n, window)
-    bits = x.to_bytes(n, "little")
-    full = (x if k == 1 else _pack(bits, k)) * ones
-    diff = read ^ full
-    if not diff:
-        return tuple(bits), n + window - 2
-    slot = 8 * k
-    start = ((diff & -diff).bit_length() - 1) // slot * slot
-    if read >> start != full >> (start + slot):
-        return None
-    return tuple(bits), start // slot
+    c = int.from_bytes(raw if k == 1 else _slot_bytes(raw, k), "little") * ones
+    return _parities(c.to_bytes(k * (n + window - 1), "little"), k, n)
 
 
 def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:

@@ -14,7 +14,9 @@ built.  Its keys are ball elements packed by ``core._slot_bytes`` in
 the window's slot width (one byte for the binary words of in-run
 balls): bytes take a fraction of a tuple's memory, and the packing is
 injective because every entry is at most the window, which the slot
-holds.
+holds.  A read vector's ball (``_packed_ball``) is sliced from the
+vector's packed bytes, one slot cut out per maximal run, so its
+elements are never built as tuples.
 
 Every ``verify_*`` function returns a ``CheckResult``.  The per-word
 checks (``verify_decoder``, ``verify_reconstruction`` and
@@ -40,8 +42,8 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from operator import add
+from itertools import combinations, compress, product
+from operator import add, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds, core
@@ -381,11 +383,21 @@ def _packed_ball(levels: Sequence[int], window: int) -> set[bytes]:
     """The deletion ball of levels, each result packed by
     ``_slot_bytes`` in the window's slot width.
 
-    Distinct results pack to distinct bytes: every entry is at most the
-    window, which its slot holds.
+    levels is packed once, and its bytes are sliced once per maximal
+    run, as ``deletion_ball`` slices the tuple: one k-byte slot cut out
+    at the last position of each run, the last slot among them, so no
+    result is built as a tuple.  Distinct results pack to distinct
+    bytes: every entry is at most the window, which its slot holds.
     """
+    u = tuple(levels)
+    if not u:
+        raise ValueError("cannot delete from an empty word")
     k, _ = core._window_slots(window)
-    return {_slot_bytes(d, k) for d in deletion_ball(levels)}
+    raw = _slot_bytes(u, k)
+    ends = compress(range(0, len(raw) - k, k), map(ne, u, u[1:]))
+    ball = {raw[:i] + raw[i + k :] for i in ends}
+    ball.add(raw[:-k])
+    return ball
 
 
 def _nth_word(i: int, n: int) -> Word:

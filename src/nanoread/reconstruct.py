@@ -22,21 +22,6 @@ class InconsistentReadsError(ValueError):
     """No legitimate read vector holds both reads in its deletion ball."""
 
 
-def _span(u: Sequence[int], v: Sequence[int]) -> tuple[int, int] | None:
-    """First and last 0-based indices where u and v, of one length,
-    differ; None when they do not."""
-    m = len(u)
-    i = 0
-    while i < m and u[i] == v[i]:
-        i += 1
-    if i == m:
-        return None
-    j = m - 1
-    while u[j] == v[j]:
-        j -= 1
-    return i, j
-
-
 def reconstruct_two(
     first: Sequence[int], second: Sequence[int], window: int, n: int
 ) -> tuple[int, ...]:
@@ -61,17 +46,21 @@ def reconstruct_two(
         raise LengthMismatchError(
             f"both reads must have length {expect}, got {len(r1)} and {len(r2)}"
         )
-    span = _span(r1, r2)
-    if span is None:
+    i0 = 0
+    while i0 < expect and r1[i0] == r2[i0]:
+        i0 += 1
+    if i0 == expect:
         raise ValueError("reads must be distinct")
-    i0, j0 = span
+    j0 = expect - 1
+    while r1[j0] == r2[j0]:
+        j0 -= 1
     i, j = i0 + 1, j0 + 1
     if r2[i:j] == r1[i0:j0]:
-        head = r1[:i0] + (r2[i0],) + r1[i0:]
+        head = r1[:i0] + r2[i0:i] + r1[i0:]
         if _word_bytes(head, window, n) is not None:
             return head
     if r2[i0:j0] == r1[i:j]:
-        tail = r1[:j] + (r2[j0],) + r1[j:]
+        tail = r1[:j] + r2[j0:j] + r1[j:]
         if _word_bytes(tail, window, n) is not None:
             return tail
     raise InconsistentReadsError("no legitimate read vector holds both reads")

@@ -84,6 +84,22 @@ class TestStickyBall:
     def test_r1_equals_deletion_ball(self, u):
         assert sticky_ball(u, 1) == deletion_ball(u)
 
+    def test_matches_runs_exhaustive(self):
+        # against the definition read off ``runs``: one deletion at the
+        # start of each run of length >= r
+        def by_runs(u, r):
+            out, pos = set(), 0
+            for _, length in runs(u):
+                if length >= r:
+                    out.add(u[:pos] + u[pos + 1 :])
+                pos += length
+            return out
+
+        for length in range(9):
+            for u in product(range(3), repeat=length):
+                for r in range(1, 5):
+                    assert sticky_ball(u, r) == by_runs(u, r), (u, r)
+
     def test_size_matches_run_statistic_exhaustive(self):
         for n in range(1, 11):
             for u in all_words(n):

@@ -97,6 +97,22 @@ class TestOverlaps:
         assert got == want
 
 
+class TestPackedBall:
+    @pytest.mark.parametrize("window", [1, 2, 3, 255, 256])
+    def test_matches_packed_deletion_ball(self, window):
+        # the symbols 0, 1, 2 and the window itself, in one-byte slots up
+        # to window 255 and two-byte slots at 256
+        k, _ = oracle.core._window_slots(window)
+        for length in range(1, 7):
+            for u in product((0, 1, 2, window), repeat=length):
+                want = {oracle._slot_bytes(d, k) for d in deletion_ball(u)}
+                assert oracle._packed_ball(u, window) == want, u
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            oracle._packed_ball((), 2)
+
+
 class TestBallEquivalence:
     def test_reference_case(self):
         assert verify_ball_equivalence(6, 3).ok
@@ -365,14 +381,15 @@ class TestClaimChecks:
 
     def test_intersection_fault(self, monkeypatch):
         # two read vectors sharing two results break the limit of one at l = 2
-        real = oracle.deletion_ball
+        real = oracle._packed_ball
         first, last = read_vector((0, 0, 0), 2), read_vector((1, 1, 1), 2)
-        shared = set(sorted(real(last))[:2])
+        shared = set(sorted(real(last, 2))[:2])
 
-        def deletion_ball(u):
-            return real(u) | shared if tuple(u) == first else real(u)
+        def _packed_ball(levels, window):
+            ball = real(levels, window)
+            return ball | shared if tuple(levels) == first else ball
 
-        monkeypatch.setattr(oracle, "deletion_ball", deletion_ball)
+        monkeypatch.setattr(oracle, "_packed_ball", _packed_ball)
         res = verify_intersection_bound(3, 2)
         assert self._fails_as_json(res) == {
             "pair": [[0, 0, 0], [1, 1, 1]],

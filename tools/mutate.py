@@ -47,9 +47,9 @@ MUTANTS = [
     ),
     (
         "vt path drops its one-deletion test",
-        "src/nanoread/core.py",
-        "if read >> start != full >> (start + slot):",
-        "if False:",
+        "src/nanoread/code.py",
+        "if read >> slot * i == rv >> slot * (i + 1):",
+        "if True:",
     ),
     (
         "vt insertion puts a 0 where a 1 belongs",
@@ -84,13 +84,13 @@ MUTANTS = [
     (
         "label ignores the first-slot guard",
         "src/nanoread/code.py",
-        "gap = 0 < i < len(candidate) and",
-        "gap = i < len(candidate) and",
+        "gap = 0 < i < m and",
+        "gap = i < m and",
     ),
     (
         "decode drops the malformed check",
         "src/nanoread/code.py",
-        "        immediate_correct(candidate)  # raises for a gap no deletion leaves\n",
+        "    immediate_correct(candidate)  # raises for a gap no deletion leaves\n",
         "",
     ),
     (
@@ -196,6 +196,24 @@ MUTANTS = [
         "src/nanoread/balls.py",
         "if u[i] != u[i + 1]}",
         "if u[i] == u[i + 1]}",
+    ),
+    (
+        "packed ball slices inside runs",
+        "src/nanoread/oracle.py",
+        "map(ne, u, u[1:])",
+        "map(lambda a, b: a == b, u, u[1:])",
+    ),
+    (
+        "packed ball drops the last slot's deletion",
+        "src/nanoread/oracle.py",
+        "    ball.add(raw[:-k])\n",
+        "",
+    ),
+    (
+        "sticky ball's run-length test is off by one",
+        "src/nanoread/balls.py",
+        "if end - start >= r:",
+        "if end - start > r:",
     ),
     (
         "fan-out chunks take their prefix bits reversed",
