@@ -2,16 +2,13 @@
 
 All combinatorial quantities are exact integers or fractions, taken
 from the run histogram below, which counts words instead of listing
-them: a transfer-matrix count whose count vectors are each packed into
-one int of fixed-width slots.  Its states are a ring of the a - 1
-"last run shorter than a" vectors and one "long run" vector, so each of
-its n - 1 steps is one sum over the states, one shift and one addition.
-One routine, ``_histograms``, steps every sweep: a bound table's, one
-per window through all its rows, and the one-row sweep behind
-``rho_geq_histogram``, from which a bound report or packing chain
-takes every field.  It clamps the threshold to the slot width in bits,
-which no run in the sweep reaches, so a threshold far past n costs no
-more ring states than that width; it unpacks with ``core._unpack``.
+them: the histogram of all length-k words is one int H_k of fixed-width
+slots, and its prefix sums T_k = H_0 + ... + H_k follow one recurrence,
+T_k = 2 T_(k-1) + (u - 1) T_(k-a), at four int operations a step for
+every threshold a.  One routine, ``_histograms``, steps every sweep: a
+bound table's, one per window through all its rows, and the one-row
+sweep behind ``rho_geq_histogram``, from which a bound report or
+packing chain takes every field; it unpacks with ``core._unpack``.
 Only the closed-form redundancy bound uses floating point, since it
 mixes logs and exp.
 """
@@ -19,9 +16,9 @@ mixes logs and exp.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -32,28 +29,21 @@ def rho_geq_histogram(n: int, a: int) -> list[int]:
     """Histogram of rho_geq(., a) over all 2^n words of length n.
 
     Entry r is the number of words with exactly r maximal runs of length
-    >= a.  A transfer-matrix count: the state is the length of the last
-    run, capped at a, and each state carries its count vector indexed by
-    r.  Appending a bit either starts a new run (every state goes to
-    length 1) or extends the last one (length c goes to c + 1, and the
-    run is counted, a one-place shift of its vector, when it reaches a).
+    >= a.  Packed into slots of ``8 * ((n + 8) // 8)`` bits, the
+    histogram H_k of the length-k words is a polynomial in u = 2^(slot
+    bits), and a run that counts multiplies by u.  A word of length
+    k >= 1 is a shorter word and one last run of length j, counted when
+    j >= a; set H_0 = 2, the two symbols a first run may take.  In the
+    prefix sums T_k = H_0 + ... + H_k, with T_i = 0 for i < 0, that is
+    H_k = T_(k-1) + (u - 1) T_(k-a), so T_k = 2 T_(k-1) + (u - 1) T_(k-a).
 
-    The a - 1 states of a last run shorter than a form a ring, beside
-    one long-run state.  A step sums every state into ``total``, adds
-    the oldest ring state, the one reaching length a, shifted one place
-    to the long state, and overwrites that ring slot with ``total``, the
-    new length-1 state; the ring index moves on by one.  At a = 1 every
-    run counts as it starts, so the long state is the only one and a
-    step adds it to itself shifted.
-
-    Each count vector is packed into one int, entry r in the r-th slot
-    of ``8 * ((n + 8) // 8)`` bits.  A count never exceeds 2^n, which
-    fits in a slot, so no slot carries into the next: adding two vectors
-    is one int addition and counting one more run is one left shift by
-    a slot.  The n - 1 steps each take O(a) int operations, with a
-    clamped to the slot width in bits, and the packed result is
-    unpacked once, through its bytes.  A one-row sweep of
-    ``_histograms`` does the work.
+    No a needs a branch: at a = 1, T_(k-a) is T_(k-1), and a threshold
+    past k leaves it 0, so H_k = 2^k.  Length 0 reads T_0 - T_(-1) with
+    T_(-1) = 1, its one word.  No count exceeds 2^n, so each slot of H_k
+    holds its entry exactly.  The prefix sums are exact values at u too,
+    but their slots may overflow or go below 0, so only
+    H_k = T_k - T_(k-1) is unpacked, once, through its bytes.  A one-row
+    sweep of ``_histograms`` does the work.
     """
     if a < 1:
         raise ValueError("run-length threshold must be >= 1")
@@ -72,50 +62,23 @@ def _count_slot_bytes(n: int) -> int:
 def _histograms(a: int, ks: Iterable[int], slot_bytes: int) -> Iterator[list[int]]:
     """``rho_geq_histogram(k, a)`` for each k in ks, from one sweep.
 
-    The sweep steps on from the last k; it starts again only where k
-    goes down.  Every k must be below 8 * slot_bytes, so a above that
-    is clamped to it: no run reaches either threshold, and the
-    histogram [2^k] has k // a + 1 = 1 entry either way.
+    The sweep steps the prefix sums T_k on from the last k; it starts
+    again only where k goes down.  ``sums`` keeps the last a of them, so
+    T_(k-a) is its first once it is full, and 0 before.  The step takes
+    T_(k-1) - T_(k-a) first: at a = 1 the two are one int, and the
+    difference is 0 without a new int.  Every k must be below
+    8 * slot_bytes, so that each entry of H_k fits its slot.
     """
-    a = min(a, 8 * slot_bytes)
     shift = 8 * slot_bytes
-    k = 0
+    k = math.inf  # no sweep yet: the first k starts one
     for target in ks:
-        if target == 0:
-            yield [1]
-            continue
-        if target < k or k == 0:
-            k, (ring, long_) = 1, _start(a, shift)
-        long_ = _advance(ring, long_, k, target - k, shift)
-        k = target
-        yield list(_unpack(sum(ring, long_), k // a + 1, slot_bytes))
-
-
-def _start(a: int, shift: int) -> tuple[list[int], int]:
-    """The ring and long-run state of the two one-bit words."""
-    ring = [0] * (a - 1)
-    if not ring:  # a == 1: their one run already counts
-        return ring, 2 << shift
-    ring[0] = 2
-    return ring, 0
-
-
-def _advance(ring: list[int], long_: int, k: int, steps: int, shift: int) -> int:
-    """Step the packed states of the length-k words by ``steps`` bits.
-
-    ``ring`` is updated in place; the new long-run state is returned.
-    After k bits the next slot to reach length a is ``ring[k % (a - 1)]``.
-    """
-    if not ring:  # a == 1
-        for _ in range(steps):
-            long_ += long_ << shift
-        return long_
-    first = k % len(ring)
-    for j in islice(cycle(range(len(ring))), first, first + steps):
-        total = sum(ring, long_)
-        long_ += ring[j] << shift
-        ring[j] = total
-    return long_
+        if target < k:
+            k, total, sums = -1, 1, deque(maxlen=a)
+        for k in range(k + 1, target + 1):
+            old = sums[0] if len(sums) == a else 0
+            prev, total = total, (total - old) + total + (old << shift)
+            sums.append(total)
+        yield list(_unpack(total - prev, target // a + 1, slot_bytes))
 
 
 def redundancy_lower_bound(n: int, window: int) -> float:

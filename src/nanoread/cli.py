@@ -70,8 +70,9 @@ def cmd_enumerate(args) -> int:
     residue = args.a
     if residue is None:
         residue, _ = code.best_residue(args.n, args.l)
-        _note(f"using best residue a={residue}")
     params = code.CodeParams(n=args.n, window=args.l, residue=residue)
+    if args.a is None:
+        _note(f"using best residue a={residue}")
     for x in code.enumerate_code(params):
         print(core.format_word(x))
     return 0

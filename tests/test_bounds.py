@@ -99,14 +99,17 @@ class TestRhoGeqHistogram:
                 assert mean == expected_runs(n, a)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(15, 400), a=st.integers(1, 8))
-    def test_large_n_identities(self, n, a):
-        hist = rho_geq_histogram(n, a)
-        assert len(hist) == n // a + 1
-        assert sum(hist) == 1 << n
-        if a <= n:
-            runs = sum(r * k for r, k in enumerate(hist))
-            assert runs == (1 << n) * expected_runs(n, a)
+    @given(n=st.integers(15, 400), a=st.integers(1, 8), big=st.integers(9, 70))
+    def test_large_n_identities(self, n, a, big):
+        # big passes one slot byte, and the slot width in bits where n is
+        # small; a = n and n + 1 are the edge of any run counting
+        for t in (a, big, n, n + 1):
+            hist = rho_geq_histogram(n, t)
+            assert len(hist) == n // t + 1
+            assert sum(hist) == 1 << n
+            if t <= n:
+                runs = sum(r * k for r, k in enumerate(hist))
+                assert runs == (1 << n) * expected_runs(n, t), t
         assert sum(oracle.residue_sizes(n, a)) == 1 << n
         # bound_report builds one histogram for both of these fields
         rep = bound_report(n, a)
@@ -115,8 +118,8 @@ class TestRhoGeqHistogram:
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_sweep_independent_of_slot_width(self, a):
-        # the table's sweep steps one ring through every k, in slots sized
-        # for a larger n than k
+        # the table's sweep steps one recurrence through every k, in
+        # slots sized for a larger n than k
         for top in (200, 1000):
             sweep = _histograms(a, range(201), _count_slot_bytes(top))
             for k, hist in enumerate(sweep):
@@ -131,7 +134,7 @@ class TestRhoGeqHistogram:
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 60])
     def test_threshold_past_n(self, n):
         # no run reaches a > n, whether or not a passes the slot width
-        # the sweep clamps it to
+        # in bits: the sweep's T_(k-a) stays 0
         for a in (n + 1, 8 * _count_slot_bytes(n), 10**6):
             assert rho_geq_histogram(n, a) == [2**n], (n, a)
 

@@ -63,6 +63,19 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--l", "1", "--a", "0")
         assert out.splitlines() == ["00", "11"]
 
+    def test_best_residue_noted(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--l", "1")
+        assert code == 0
+        assert out.splitlines() == ["000", "101"]
+        assert err == "using best residue a=0\n"
+
+    @pytest.mark.parametrize("n, l", [(0, 1), (2, 3), (-1, 1)])
+    def test_usage_error_prints_only_the_error(self, capsys, n, l):
+        code, out, err = run(capsys, "enumerate", "--n", str(n), "--l", str(l))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestRoundtrip:
     def test_single_deletion_always_succeeds(self, capsys):

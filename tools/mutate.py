@@ -13,8 +13,9 @@ out).  The unmutated copy runs first and must pass, so that no mutant
 is killed by a broken copy.  The script exits 1 when that run fails, a
 mutant survives or an old text no longer occurs exactly once, so a
 refactor must update the list rather than drop a mutant without
-notice.  Not part of the tier-1 run: a killed mutant takes seconds, a
-survivor one full run of the suite.
+notice; ``tests/test_mutants.py`` checks the old texts in the tier-1
+run too.  The mutants themselves are not part of that run: a killed
+mutant takes seconds, a survivor one full run of the suite.
 """
 
 from __future__ import annotations
@@ -130,6 +131,28 @@ MUTANTS = [
         "src/nanoread/bounds.py",
         "tail_count=_tail_count(hist, n - 1, window) if n >= 2 else None,",
         "tail_count=_tail_count(hist, n - 1, window) if n >= 3 else None,",
+    ),
+    (
+        "run-histogram step drops its - T_(k-a)",
+        "src/nanoread/bounds.py",
+        "(total - old) + total + (old << shift)",
+        "total + total + (old << shift)",
+    ),
+    (
+        "run-histogram step reads T_(k-a) one step late",
+        "src/nanoread/bounds.py",
+        "            k, total, sums = -1, 1, deque(maxlen=a)\n"
+        "        for k in range(k + 1, target + 1):\n"
+        "            old = sums[0] if len(sums) == a else 0\n",
+        "            k, total, sums = -1, 1, deque(maxlen=a + 1)\n"
+        "        for k in range(k + 1, target + 1):\n"
+        "            old = sums[0] if len(sums) > a else 0\n",
+    ),
+    (
+        "run-histogram sweep steps on where k goes down",
+        "src/nanoread/bounds.py",
+        "        if target < k:\n",
+        "        if k == math.inf:\n",
     ),
     (
         "reconstruction oracle accepts any result",
