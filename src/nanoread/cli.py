@@ -66,13 +66,18 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
+def _code_params(args) -> code.CodeParams:
+    """The code of --n, --l and --a; --a defaults to the best residue."""
     residue = args.a
     if residue is None:
         residue, _ = code.best_residue(args.n, args.l)
-    params = code.CodeParams(n=args.n, window=args.l, residue=residue)
+    return code.CodeParams(n=args.n, window=args.l, residue=residue)
+
+
+def cmd_enumerate(args) -> int:
+    params = _code_params(args)
     if args.a is None:
-        _note(f"using best residue a={residue}")
+        _note(f"using best residue a={params.residue}")
     for x in code.enumerate_code(params):
         print(core.format_word(x))
     return 0
@@ -131,10 +136,7 @@ def cmd_roundtrip(args):
         raise ValueError(
             f"roundtrip: --p {args.p} is not a probability; need 0 <= p <= 1"
         )
-    residue = args.a
-    if residue is None:
-        residue, _ = code.best_residue(args.n, args.l)
-    params = code.CodeParams(n=args.n, window=args.l, residue=residue)
+    params = _code_params(args)
     codewords = code.enumerate_code(params)
     paths = collections.Counter()
 
@@ -158,7 +160,7 @@ def cmd_roundtrip(args):
         return True
 
     return trial, {
-        "a": residue,
+        "a": params.residue,
         "mode": "exactly-one-deletion" if args.p is None else "iid-deletion",
         "p": args.p,
         "paths": paths,

@@ -1,11 +1,11 @@
 """Single-deletion read code: checksum membership, encoding, decoding.
 
 Codewords are binary words whose read-vector mod-2 prefix satisfies a
-weighted checksum fixed modulo n+1.  A single deletion anywhere in the
-read vector is corrected by insertion-correcting decoding of the
-truncated mod-2 prefix: a deletion deletes one of the first n parities
-or cuts off the last, so VT insertion on the first n - 1 recovers the
-codeword.  A gap of 2 between adjacent entries only names the path.
+weighted checksum fixed modulo n+1.  Decoding recovers that prefix and
+inverts it, for a read of either length: a full-length read holds all
+n parities; a deletion deletes one of them or cuts off the last, so VT
+insertion on the first n - 1 recovers the codeword.  A gap of 2
+between adjacent entries only names the path.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from .core import (
     _PACK_ERRORS,
     ResourceLimitError,  # noqa: F401  (re-exported)
     Word,
+    _bit_bytes,
     _parities,
     _slot_bytes,
     _window_slots,
-    _word_bytes,
     _word_parities,
     _xor_doubling,
     all_words,
@@ -59,14 +59,6 @@ class DecodeOutcome:
 def _checksum(bits: Sequence[int], n: int) -> int:
     """sum(i * bits_i) mod n+1, positions counted from 1; bits are 0 or 1."""
     return sum(compress(range(1, len(bits) + 1), bits)) % (n + 1)
-
-
-def _levels_syndrome(levels: Sequence[int], window: int, n: int) -> int:
-    """The checksum of the parities of the first n entries of a read
-    vector: the syndrome of its word.  Every entry must pack in the
-    window's slots, as a read vector's do."""
-    k, _ = _window_slots(window)
-    return _checksum(_parities(_slot_bytes(levels, k), k, n), n)
 
 
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
@@ -186,16 +178,16 @@ def vt_insert(received: Sequence[int], residue: int, n: int) -> tuple[int, ...]:
     bits.  With the deficiency d = (residue - checksum) mod n+1, the
     insertion is a 0 with d ones to its right when d <= w, otherwise a 1
     with d - w - 1 zeros to its left.  Every residue has exactly one
-    such supersequence.
+    such supersequence.  A received entry other than 0 or 1 raises
+    ``ValueError``.
     """
     received = tuple(received)
     if len(received) != n - 1:
         raise ValueError(f"received length {len(received)} != n - 1 = {n - 1}")
-    if not set(received) <= {0, 1}:
-        raise ValueError("received must be a bit sequence")
+    raw = _bit_bytes(received)
     if not 0 <= residue <= n:
         raise DecodeFailure("no insertion meets the checksum")
-    return tuple(_vt_insert(bytes(map(int, received)), residue, n))
+    return tuple(_vt_insert(raw, residue, n))
 
 
 def _vt_insert(received: bytes, residue: int, n: int) -> bytes:
@@ -217,56 +209,56 @@ def _vt_insert(received: bytes, residue: int, n: int) -> bytes:
 def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     """Recover the transmitted codeword from an intact or once-deleted read.
 
-    Full-length inputs are inverted directly.  A shortened input is
-    packed once in the window's slots, and its first n-1 parities are
-    taken off those bytes and decoded against the checksum by VT
-    insertion.  The word x comes from the recovered prefix by the
-    xor-doubling steps, its read vector R from one multiplication.  With
-    i the first slot where the packed input and R differ (found from the
-    lowest set bit of their xor; the input's length when they never
-    differ), R loses one entry to give the input exactly when the
-    input's slots from i on equal R's from i + 1 on: one shift
-    comparison.  The deleted entry then lies in R's run that ends at i,
-    and the path is "immediate" when its deletion left a gap of 2
-    there, else "vt".  An entry that does not pack (not an int in
-    [0, 256^k)) is no deletion of a read vector.  The result is a
-    codeword whose read vector is the input or one deletion of it; when
-    no codeword is, ``DecodeFailure`` is raised (``MalformedInputError``,
-    its subclass, where ``immediate_correct`` rejects the input).
+    The read is packed once in the window's slots and its parities are
+    taken off those bytes: all n of a full-length read, or the first n-1
+    of a shortened one, which VT insertion completes against the
+    checksum.  The word x comes from the n parities by the xor-doubling
+    steps, its read vector R from one multiplication.  A full-length
+    read must equal R, and its parities' checksum the residue.  A
+    shortened read must be R less one entry: with i the first slot where
+    the packed read and R differ (the read's length when none does), the
+    read's slots from i on equal R's from i + 1 on, one shift
+    comparison.  The deleted entry then lies in R's run that ends at i;
+    the path is "immediate" when its deletion left a gap of 2 there,
+    else "vt".  An entry that does not pack (not an int in [0, 256^k))
+    is no read vector, nor a deletion of one.  When no codeword explains
+    the read, ``DecodeFailure`` is raised (``MalformedInputError``, its
+    subclass, where ``immediate_correct`` rejects a shortened read).
     """
     candidate = tuple(candidate)
     n, window = params.n, params.window
-    full = n + window - 1
-
-    if len(candidate) == full:
-        x = _word_bytes(candidate, window, n)
-        if x is None:
-            raise DecodeFailure("full-length input is not a legitimate read vector")
-        if _levels_syndrome(candidate, window, n) != params.residue:
-            raise DecodeFailure("the read vector's word is not a codeword")
-        return DecodeOutcome(word=tuple(x), path="no-deletion")
-
-    m = full - 1
-    if len(candidate) != m:
-        raise ValueError(f"candidate length {len(candidate)} must be {full} or {m}")
+    full, m = n + window - 1, len(candidate)
+    if m != full and m != full - 1:
+        raise ValueError(f"candidate length {m} must be {full} or {full - 1}")
 
     k, ones = _window_slots(window)
     try:
         raw = _slot_bytes(candidate, k)
     except _PACK_ERRORS:
-        pass  # an entry no slot holds: no deletion of a read vector
+        pass  # an entry no slot holds: no read vector, nor a deletion of one
     else:
-        p = _vt_insert(_parities(raw, k, n - 1), params.residue, n)
+        p = _parities(raw, k, m - window + 1)  # n, or n - 1 when shortened
+        if m < full:
+            p = _vt_insert(p, params.residue, n)
         x = _xor_doubling(int.from_bytes(p, "little"), n, window)
         bits = x.to_bytes(n, "little")
-        read = int.from_bytes(raw, "little")
         rv = (x if k == 1 else int.from_bytes(_slot_bytes(bits, k), "little")) * ones
-        diff = read ^ rv
-        slot = 8 * k
-        i = ((diff & -diff).bit_length() - 1) // slot if diff else m
-        if read >> slot * i == rv >> slot * (i + 1):
-            # a gap of 2 can only be at i, between the deleted entry's neighbours
-            gap = 0 < i < m and abs(candidate[i] - candidate[i - 1]) == 2
-            return DecodeOutcome(word=tuple(bits), path="immediate" if gap else "vt")
+        if m < full:
+            read = int.from_bytes(raw, "little")
+            diff = read ^ rv
+            slot = 8 * k
+            i = ((diff & -diff).bit_length() - 1) // slot if diff else m
+            if read >> slot * i == rv >> slot * (i + 1):
+                # a gap of 2 can only be at i, between the deleted entry's neighbours
+                gap = 0 < i < m and abs(candidate[i] - candidate[i - 1]) == 2
+                return DecodeOutcome(
+                    word=tuple(bits), path="immediate" if gap else "vt"
+                )
+        elif raw == rv.to_bytes(len(raw), "little"):
+            if _checksum(p, n) != params.residue:
+                raise DecodeFailure("the read vector's word is not a codeword")
+            return DecodeOutcome(word=tuple(bits), path="no-deletion")
+    if m == full:
+        raise DecodeFailure("full-length input is not a legitimate read vector")
     immediate_correct(candidate)  # raises for a gap no deletion leaves
     raise DecodeFailure("recovered word is inconsistent with the received read")

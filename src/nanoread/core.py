@@ -18,12 +18,11 @@ Each job on the packed format has one owner here: ``_slot_bytes``
 packs, in one call per sequence (``_PACK_ERRORS`` names what it raises
 for an entry no slot holds), ``_unpack`` unpacks slots of any width
 (the run histograms of ``bounds`` use it too), and ``_parities`` takes
-the mod-2 prefix off packed bytes: of a read for the decoder and the
-code's checksum, and of a word's read vector through
-``_word_parities``, for the syndrome.  At one byte per slot a word's
-bits are already its packed bytes, so ``read_vector`` and
-``_word_parities`` multiply them as they are and read the product's
-bytes back without ``_unpack``.
+the mod-2 prefix off packed bytes: of a read of either length for the
+decoder, and of a word's read vector through ``_word_parities``, for
+the syndrome.  At one byte per slot a word's bits are already its
+packed bytes, so ``read_vector`` and ``_word_parities`` multiply them
+as they are and read the product's bytes back without ``_unpack``.
 """
 
 from __future__ import annotations

@@ -57,9 +57,9 @@ from .balls import (
 from .code import (
     CodeParams,
     DecodeFailure,
-    _levels_syndrome,
     decode,
     enumerate_code,
+    syndrome,
 )
 from .core import (
     ResourceLimitError,
@@ -572,7 +572,7 @@ def verify_decoder(n: int, window: int) -> CheckResult:
     over every residue class.
 
     The words come in lexicographic order, each a codeword of the
-    residue class its read vector's syndrome names.
+    residue class its syndrome names.
     """
     params = [CodeParams(n=n, window=window, residue=a) for a in range(n + 1)]
 
@@ -580,7 +580,7 @@ def verify_decoder(n: int, window: int) -> CheckResult:
         checked = 0
         for x in words:
             rv = read_vector(x, window)
-            p = params[_levels_syndrome(rv, window, n)]
+            p = params[syndrome(x, n, window)]
             for cand in deletion_ball(rv):
                 checked += 1
                 try:

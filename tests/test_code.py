@@ -211,6 +211,17 @@ class TestVtInsert:
         with pytest.raises(DecodeFailure):
             vt_insert((0, 1, 1), 5, 4)
 
+    @pytest.mark.parametrize("bad", [1.0, 0.0, "1", None, 2, -1])
+    def test_entries_must_be_bits(self, bad):
+        # one bit validator, as in read_vector and recover_from_mod2
+        with pytest.raises(ValueError, match="must be bits"):
+            vt_insert((0, bad, 1), 0, 4)
+        with pytest.raises(ValueError, match="must be bits"):
+            read_vector((0, bad, 1), 2)
+        # the length is checked first
+        with pytest.raises(ValueError, match="received length"):
+            vt_insert((bad,), 0, 4)
+
     def test_unique_survivor_exhaustive(self):
         for n in range(2, 10):
             for x in all_words(n):
@@ -374,6 +385,16 @@ class TestDecodeContract:
         assert decode(rv, params) == DecodeOutcome(x, "no-deletion")
         pos = data.draw(st.integers(0, len(rv) - 1))
         assert decode(rv[:pos] + rv[pos + 1 :], params).word == x
+        # the full read under another residue, and with one entry moved
+        # by 1 within [0, w]: no codeword
+        shift = data.draw(st.integers(1, n))
+        other = CodeParams(n, w, (params.residue + shift) % (n + 1))
+        with pytest.raises(DecodeFailure, match="not a codeword"):
+            decode(rv, other)
+        step = data.draw(st.sampled_from([s for s in (-1, 1) if 0 <= rv[pos] + s <= w]))
+        moved = rv[:pos] + (rv[pos] + step,) + rv[pos + 1 :]
+        with pytest.raises(DecodeFailure, match="not a legitimate read vector"):
+            decode(moved, params)
 
     def test_wide_slot_every_deletion(self):
         # a read vector with ramps (deletions there leave a gap of 2), a

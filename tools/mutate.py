@@ -67,8 +67,14 @@ MUTANTS = [
     (
         "codeword test skips the syndrome",
         "src/nanoread/code.py",
-        "if _levels_syndrome(candidate, window, n) != params.residue:",
+        "if _checksum(p, n) != params.residue:",
         "if False:",
+    ),
+    (
+        "full-length read skips its comparison",
+        "src/nanoread/code.py",
+        'elif raw == rv.to_bytes(len(raw), "little"):',
+        "elif True:",
     ),
     (
         "decode names every path vt",
