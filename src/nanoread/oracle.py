@@ -28,11 +28,11 @@ parent and its forked children, claims the next chunk from one pipe,
 so a process that draws cheap chunks takes more of them.  The process
 count follows the word count alone: each process gets at least
 ``MIN_BLOCK`` words, whatever the check, so all three fork from n = 9
-on two CPUs.  The chunk results are merged in chunk order, so each
-``CheckResult`` is the one the serial run gives.  They stay serial
-when ``os.fork`` is missing, when one CPU is available, when the
-enumeration holds fewer than two blocks of words, or when the process
-runs more than one thread.
+on two CPUs.  A run whose processes all pass sums their counts, and
+the check rerun serially decides any other, so each ``CheckResult`` is
+the serial run's.  They stay serial when ``os.fork`` is missing, when
+one CPU is available, when the enumeration holds fewer than two blocks
+of words, or when the process runs more than one thread.
 """
 
 from __future__ import annotations
@@ -134,23 +134,18 @@ def _by_chunks(check: Check, n: int) -> ChunkResult:
 
     The parent writes the chunk indices, one byte each, into a pipe and
     forks the children; every process, the parent too, claims chunks
-    from that pipe in turn (see ``_claim``), so the chunks are claimed
-    in increasing order.  Each child sends back its pickled
-    ``{chunk: outcome}``, and every child is read and reaped before this
-    returns or raises.  In chunk order, the first chunk that raised or
-    found a counterexample decides the result: its exception is raised,
-    or its counterexample returned with the counts of every chunk up to
-    it, which are the counts of the serial run.
+    from it (see ``_claim``), and every child is read and reaped before
+    this returns, raises or reruns.  If every process passed, the
+    result sums their counts.  Otherwise check reruns serially over the
+    words and decides; a serial pass raises ``RuntimeError``, naming
+    each failing process's reason and each silent child's exit code.
     """
     words = all_words(n)  # the size guard, before any fork
     procs = min(_cpus(), (1 << n) // MIN_BLOCK)
     if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return check(words)
-    import pickle
-
-    chunks = 1 << min(n, CHUNK_BITS)
     claims, w = os.pipe()
-    os.write(w, bytes(range(chunks)))
+    os.write(w, bytes(range(1 << min(n, CHUNK_BITS))))
     os.close(w)
     children: list[tuple[int, int]] = []
     received: list[tuple[bytes, int]] = []
@@ -168,81 +163,69 @@ def _by_chunks(check: Check, n: int) -> ChunkResult:
                 _run_child(check, n, claims, w)
             os.close(w)
             children.append((pid, r))
-        outcomes = _claim(check, n, claims)
+        checked, skipped, reason = _claim(check, n, claims)
     finally:
         os.close(claims)
         for pid, r in children:
             with open(r, "rb") as pipe:
                 data = pipe.read()
             received.append((data, os.waitpid(pid, 0)[1]))
-    silent = []  # the exit codes of the children that sent nothing
+    failures = [reason] if reason else []
     for data, status in received:
-        if data:
-            outcomes.update(pickle.loads(data))
-        else:
-            silent.append(str(os.waitstatus_to_exitcode(status)))
-    checked = skipped = 0
-    for c in range(chunks):
-        if c not in outcomes:
-            # every chunk before the deciding one was claimed, and each
-            # claimed chunk runs to its end: only a silent child loses one
-            raise RuntimeError(
-                f"oracle chunk {c} ended without a result"
-                f" (exit code {', '.join(silent)})"
-            )
-        ok, value = outcomes[c]
-        if not ok:
-            raise value
-        chunk_checked, counterexample, chunk_skipped = value
-        checked += chunk_checked
-        skipped += chunk_skipped
-        if counterexample is not None:
-            return checked, counterexample, skipped
-    return checked, None, skipped
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            failures.append(f"a child sent nothing (exit code {code})")
+            continue
+        child_checked, child_skipped, reason = data.decode().split(" ", 2)
+        checked += int(child_checked)
+        skipped += int(child_skipped)
+        failures += [reason] if reason else []
+    if not failures:
+        return checked, None, skipped
+    result = check(words)
+    if result[1] is None:
+        raise RuntimeError(
+            f"oracle fan-out failed, its serial rerun passed: {'; '.join(failures)}"
+        )
+    return result
 
 
-def _claim(check: Check, n: int, claims: int) -> dict[int, tuple[bool, object]]:
-    """{chunk: (True, result) or (False, exception)} of the chunks this
-    process claims, one ``os.read`` of one byte each (atomic on a
-    pipe), from the claims pipe.
-
-    It stops when the pipe is empty, or after a chunk that found a
-    counterexample or raised; then it drains the pipe, so every other
-    process stops after its current chunk.
+def _claim(check: Check, n: int, claims: int) -> tuple[int, int, str]:
+    """(checked, skipped, reason) summed over the chunks this process
+    claims from the claims pipe, one ``os.read`` of one byte each
+    (atomic on a pipe), until it is empty or a chunk fails: reason names
+    the chunk that found a counterexample, or is ``_error`` of the
+    exception, and is "" otherwise.  Then it drains the pipe, so every
+    other process stops after its current chunk.
     """
-    outcomes: dict[int, tuple[bool, object]] = {}
+    checked = skipped = 0
     try:
         while claim := os.read(claims, 1):
-            c = claim[0]
             try:
-                result = check(_chunk(n, c))
-            except Exception as exc:  # placed in chunk order by the merge
-                outcomes[c] = (False, exc)
-                break
-            outcomes[c] = (True, result)
-            if result[1] is not None:
-                break
+                found, counterexample, missed = check(_chunk(n, claim[0]))
+            except Exception as exc:  # the serial rerun decides
+                return checked, skipped, _error(exc)
+            checked += found
+            skipped += missed
+            if counterexample is not None:
+                return checked, skipped, f"counterexample in chunk {claim[0]}"
     finally:
         while os.read(claims, 256):
             pass
-    return outcomes
+    return checked, skipped, ""
 
 
 def _run_child(check: Check, n: int, claims: int, fd: int):
-    """Claim and run chunks in a forked child, write the pickled
-    outcomes to fd and leave by ``os._exit``: never return into the
-    caller.
-
-    A child that cannot send its outcomes exits with nothing written,
-    which the parent reports as an error naming a chunk it lost.
+    """Claim and run chunks in a forked child, write its report,
+    "checked skipped reason", to fd and leave by ``os._exit``: never
+    return into the caller.  A child that cannot write its report exits
+    with nothing written, which the parent names by its exit code.
     """
-    import pickle
-
     status = 1
     try:
-        outcomes = _claim(check, n, claims)
+        report = "%d %d %s" % _claim(check, n, claims)
         with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcomes))
+            pipe.write(report.encode())
         status = 0
     finally:
         os._exit(status)
@@ -606,8 +589,10 @@ def verify_reconstruction(n: int, window: int) -> CheckResult:
     """Run two-read reconstruction on every valid instance of size n.
 
     Words whose read-vector deletion ball is a singleton admit no two
-    distinct reads; they are skipped and counted.
+    distinct reads; they are skipped and counted.  Needs window >= 2.
     """
+    if window < 2:
+        raise ValueError("two-read reconstruction requires window >= 2")
 
     def check(words: Iterable[Word]) -> ChunkResult:
         checked = 0

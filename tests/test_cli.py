@@ -412,6 +412,15 @@ class TestVerify:
             "error: verify sticky-size: --l does not apply; it runs r = 1..n\n"
         )
 
+    def test_reconstruction_refuses_window_1(self, capsys):
+        # one error from n = 0 on, before any record is built
+        code, out, err = run(
+            capsys, "verify", "reconstruction", "--n", "0..2", "--l", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: two-read reconstruction requires window >= 2\n"
+
     def test_every_cell_skipped_is_usage_error(self, capsys):
         # a > n for every cell: tail-bound produces no record
         code, out, _ = run(capsys, "verify", "tail-bound", "--n", "3", "--l", "5")

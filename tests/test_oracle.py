@@ -286,6 +286,13 @@ class TestDecoderAndReconstruction:
         assert res.ok
         assert res.detail["skipped_singletons"] >= 1  # the all-zero word
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_reconstruction_refuses_window_1(self, n):
+        # one message whatever n: n = 0 has no read vector to delete
+        # from, and n = 1 has only singleton balls, so nothing is checked
+        with pytest.raises(ValueError, match="requires window >= 2"):
+            verify_reconstruction(n, 1)
+
     def test_validity_image(self):
         assert verify_validity_image(6, 3).ok
         assert verify_validity_image(5, 2).ok
@@ -746,7 +753,9 @@ class TestFanOut:
 
     def test_child_exception_is_raised(self, monkeypatch, forks):
         # the child raises in its first chunk; the parent holds its own
-        # first decode until then, so that the child claims a chunk
+        # first decode until then, so that the child claims a chunk.  The
+        # serial rerun passes, so the child's exception comes back named
+        # in a RuntimeError
         parent = os.getpid()
         raised = os.pipe()
 
@@ -760,12 +769,44 @@ class TestFanOut:
         monkeypatch.setattr(oracle, "decode", decode)
         _set_cpus(monkeypatch, 2)
         try:
-            with pytest.raises(TypeError, match="in pid") as info:
+            with pytest.raises(RuntimeError) as info:
                 verify_decoder(10, 2)
         finally:
             os.close(raised[0])
             os.close(raised[1])
-        assert str(info.value) != f"in pid {parent}"
+        assert len(forks) == 1
+        assert f"TypeError: in pid {forks[0]}" in str(info.value)
+        assert f"in pid {parent}" not in str(info.value)
+
+    def test_wrong_decode_in_a_child_only(self, monkeypatch, forks):
+        # the child decodes its first read to the complemented word and
+        # writes that word's chunk; the parent holds its own first decode
+        # until then.  The serial rerun passes: a RuntimeError names the
+        # chunk where the child found its counterexample
+        parent = os.getpid()
+        wrong = os.pipe()
+
+        def decode(received, params):
+            out = real_decode(received, params)
+            if os.getpid() != parent:
+                os.write(wrong[1], bytes([_chunk_of(out.word)]))
+                return DecodeOutcome(tuple(1 - b for b in out.word), out.path)
+            _wait(wrong)
+            return out
+
+        monkeypatch.setattr(oracle, "decode", decode)
+        _set_cpus(monkeypatch, 2)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                verify_decoder(10, 2)
+            chunk = os.read(wrong[0], 1)[0]
+        finally:
+            os.close(wrong[0])
+            os.close(wrong[1])
+        assert str(info.value) == (
+            "oracle fan-out failed, its serial rerun passed:"
+            f" counterexample in chunk {chunk}"
+        )
         assert len(forks) == 1
 
     def test_parent_exception_takes_its_block_place(self, monkeypatch, forks, race):
@@ -783,17 +824,18 @@ class TestFanOut:
         assert len(forks) == 1
 
     def test_child_that_dies_is_no_pass(self, monkeypatch, forks):
-        # the child writes the chunk of its first word and dies; the
-        # parent holds until then, so that the child claims a chunk
+        # the child dies at its first word; the parent holds until then,
+        # so that the child claims a chunk.  The serial rerun passes, and
+        # the child's exit code is named
         parent = os.getpid()
         real = oracle.read_vector
-        named = os.pipe()
+        died = os.pipe()
 
         def read_vector(x, window):
             if os.getpid() != parent:
-                os.write(named[1], bytes([_chunk_of(x)]))
+                os.write(died[1], b"x")
                 os._exit(1)
-            _wait(named)
+            _wait(died)
             return real(x, window)
 
         monkeypatch.setattr(oracle, "read_vector", read_vector)
@@ -801,22 +843,23 @@ class TestFanOut:
         try:
             with pytest.raises(RuntimeError) as info:
                 verify_reconstruction(10, 2)
-            chunk = os.read(named[0], 1)[0]
         finally:
-            os.close(named[0])
-            os.close(named[1])
+            os.close(died[0])
+            os.close(died[1])
         assert str(info.value) == (
-            f"oracle chunk {chunk} ended without a result (exit code 1)"
+            "oracle fan-out failed, its serial rerun passed:"
+            " a child sent nothing (exit code 1)"
         )
         assert len(forks) == 1
 
 
 def test_import_loads_no_pickle_or_multiprocessing():
-    # the fan-out imports pickle only when it forks: importing the
-    # package stays as cheap as it was
+    # importing the package stays as cheap as it was, and a fanned run
+    # reports in plain text: neither loads pickle
     src = pathlib.Path(nanoread.__file__).resolve().parents[1]
     probe = (
-        "import sys, nanoread; "
+        "import sys, nanoread; from nanoread import oracle; "
+        "oracle._cpus = lambda: 2; assert oracle.verify_decoder(9, 2).ok; "
         "print(sorted({'pickle', 'multiprocessing'} & set(sys.modules)))"
     )
     out = subprocess.run(

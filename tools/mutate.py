@@ -167,10 +167,22 @@ MUTANTS = [
         "if True:",
     ),
     (
-        "fan-out merges its chunks in claim order",
+        "a fanned failure returns the fanned sums",
         "src/nanoread/oracle.py",
-        "    for c in range(chunks):\n",
-        "    for c in outcomes:\n",
+        "    if not failures:\n",
+        "    if True:\n",
+    ),
+    (
+        "a serial pass after a fanned failure passes",
+        "src/nanoread/oracle.py",
+        "    if result[1] is None:\n",
+        "    if False:\n",
+    ),
+    (
+        "fan-out drops the parent's counts",
+        "src/nanoread/oracle.py",
+        "        checked, skipped, reason = _claim(check, n, claims)\n",
+        "        checked, skipped, reason = 0, 0, _claim(check, n, claims)[2]\n",
     ),
     (
         "verify passes a run that checked nothing",
