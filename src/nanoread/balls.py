@@ -29,23 +29,25 @@ def rho_geq(u: Sequence[int], a: int) -> int:
     return sum(1 for _, length in runs(u) if length >= a)
 
 
-def deletion_ball(u: Sequence[int]) -> set[Seq]:
+def deletion_ball(u: Sequence[int]) -> set[Seq | bytes]:
     """All distinct words reachable from u by deleting one symbol.
 
     Deleting any symbol of a maximal run leaves the same word, so u is
     sliced once per run, at the run's last position: every position
     whose symbol differs from the next one, and the last position.
+    A tuple or bytes is sliced as it is and anything else as
+    ``tuple(u)``, so the results are bytes for bytes, else tuples.
     """
+    u = u if isinstance(u, (tuple, bytes)) else tuple(u)
     if len(u) < 1:
         raise ValueError("cannot delete from an empty word")
-    u = tuple(u)
     last = len(u) - 1
     ball = {u[:i] + u[i + 1 :] for i in range(last) if u[i] != u[i + 1]}
     ball.add(u[:last])
     return ball
 
 
-def sticky_ball(u: Sequence[int], r: int) -> set[Seq]:
+def sticky_ball(u: Sequence[int], r: int) -> set[Seq | bytes]:
     """One deletion from each maximal run of length >= r.
 
     For r=1 this is the full deletion ball; its size always equals the
@@ -53,12 +55,13 @@ def sticky_ball(u: Sequence[int], r: int) -> set[Seq]:
     (every position whose symbol differs from the one before it, and
     the end) gives each run's start and length, and a long run loses
     its first symbol.  ``runs`` and ``rho_geq`` stay separate, so that
-    ``oracle.verify_sticky_size`` tests this against them.
+    ``oracle.verify_sticky_size`` tests this against them.  The
+    results are bytes for bytes, else tuples, as in ``deletion_ball``.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    u = tuple(u)
-    out: set[Seq] = set()
+    u = u if isinstance(u, (tuple, bytes)) else tuple(u)
+    out: set[Seq | bytes] = set()
     start = 0
     for end in chain(compress(range(1, len(u)), map(ne, u, u[1:])), (len(u),)):
         if end - start >= r:
@@ -67,9 +70,10 @@ def sticky_ball(u: Sequence[int], r: int) -> set[Seq]:
     return out
 
 
-def restricted_ball(u: Sequence[int], k: int) -> set[Seq]:
-    """Deletions permitted only at positions holding symbol 0 or k."""
-    u = tuple(u)
+def restricted_ball(u: Sequence[int], k: int) -> set[Seq | bytes]:
+    """Deletions permitted only at positions holding symbol 0 or k;
+    the results are bytes for bytes, else tuples, as in ``deletion_ball``."""
+    u = u if isinstance(u, (tuple, bytes)) else tuple(u)
     return {u[:i] + u[i + 1 :] for i, s in enumerate(u) if s == 0 or s == k}
 
 

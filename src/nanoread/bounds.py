@@ -164,7 +164,7 @@ def packing_chain(n: int, window: int) -> tuple[Fraction, Fraction, float]:
     ws = _weighted_sum(hist)
 
     t = _tail_len(n - 1, window)
-    tail = sum(hist[:t])  # words below the cutoff
+    tail = _tail_count(hist, n - 1, window)  # words below the cutoff
     bulk = sum(hist[t:])  # words with r >= t
     split = Fraction(tail) + Fraction(bulk, t) if t >= 1 else Fraction(tail + bulk)
 

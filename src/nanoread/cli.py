@@ -292,7 +292,8 @@ def cmd_verify(args) -> int:
         _result_record(args.check, cell, check(*cell.values()))
         for cell in cells(_parse_range(args.n), ls)
     ]
-    if args.exact_only:
+    # when every record is inconclusive, keep them all for the refusal below
+    if args.exact_only and any(rec["status"] != "inconclusive" for rec in records):
         records = [rec for rec in records if rec["status"] != "inconclusive"]
     if not records:
         raise ValueError(f"verify {args.check}: no (n, l) in range produced a record")

@@ -10,13 +10,13 @@ The index (``_overlaps``) streams: each ball, as it arrives, counts its
 overlaps with the earlier balls and hands them to its caller, which
 keeps only what its check needs (the largest overlap, the conflict
 graph's edges, the first colliding pair), so no table of all pairs is
-built.  Its keys are ball elements packed by ``core._slot_bytes`` in
-the window's slot width (one byte for the binary words of in-run
-balls): bytes take a fraction of a tuple's memory, and the packing is
-injective because every entry is at most the window, which the slot
-holds.  A read vector's ball (``_packed_ball``) is sliced from the
-vector's packed bytes, one slot cut out per maximal run, so its
-elements are never built as tuples.
+built.  Its keys are ball elements as bytes, one byte an entry,
+wherever a byte holds every entry: bytes take a fraction of a tuple's
+memory, and a ball of ``balls`` cut from ``bytes(u)`` slices it as
+bytes, so its elements are never built as tuples.  A binary word's
+in-run ball is cut from its bytes, and so is a read vector's ball
+(``_read_ball``) while the window is below 256, as no entry exceeds
+the window; from window 256 on its keys stay tuples.
 
 Every ``verify_*`` function returns a ``CheckResult``.  The per-word
 checks (``verify_decoder``, ``verify_reconstruction`` and
@@ -42,11 +42,11 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress, product
-from operator import add, ne
+from itertools import combinations, product
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import bounds, core
+from . import bounds
 from .balls import (
     deletion_ball,
     restricted_ball,
@@ -64,7 +64,6 @@ from .code import (
 from .core import (
     ResourceLimitError,
     Word,
-    _slot_bytes,
     all_words,
     is_valid_read_vector,
     read_vector,
@@ -340,9 +339,9 @@ def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
     which it yields, and joins the buckets.  The index keeps no pair,
     only one bucket per distinct element: a bare position while one
     ball holds the element (most do), a list from the second on.  It
-    is agnostic of the element type (the callers pass packed bytes, see
-    the module docstring); each ball must be a set, so that it visits a
-    bucket once.
+    is agnostic of the element type (the callers pass bytes where they
+    can, see the module docstring); each ball must be a set, so that it
+    visits a bucket once.
     """
     buckets: dict = {}
     for i, ball in enumerate(balls):
@@ -362,25 +361,11 @@ def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
             yield i, counts
 
 
-def _packed_ball(levels: Sequence[int], window: int) -> set[bytes]:
-    """The deletion ball of levels, each result packed by
-    ``_slot_bytes`` in the window's slot width.
-
-    levels is packed once, and its bytes are sliced once per maximal
-    run, as ``deletion_ball`` slices the tuple: one k-byte slot cut out
-    at the last position of each run, the last slot among them, so no
-    result is built as a tuple.  Distinct results pack to distinct
-    bytes: every entry is at most the window, which its slot holds.
-    """
-    u = tuple(levels)
-    if not u:
-        raise ValueError("cannot delete from an empty word")
-    k, _ = core._window_slots(window)
-    raw = _slot_bytes(u, k)
-    ends = compress(range(0, len(raw) - k, k), map(ne, u, u[1:]))
-    ball = {raw[:i] + raw[i + k :] for i in ends}
-    ball.add(raw[:-k])
-    return ball
+def _read_ball(levels: Sequence[int], window: int) -> set:
+    """The deletion ball of the read vector levels as ``_overlaps``
+    keys: bytes while a byte holds every entry, which is at most the
+    window, and tuples from window 256 on."""
+    return deletion_ball(bytes(levels) if window < 256 else levels)
 
 
 def _nth_word(i: int, n: int) -> Word:
@@ -394,7 +379,7 @@ def verify_intersection_bound(n: int, window: int) -> CheckResult:
     The witness is the pair (a, b), a < b in enumeration order, of
     largest overlap, the smallest such pair on a tie.
     """
-    balls = (_packed_ball(read_vector(x, window), window) for x in all_words(n))
+    balls = (_read_ball(read_vector(x, window), window) for x in all_words(n))
     best, a, b = 0, 0, 0
     for i, counts in _overlaps(balls):
         top = max(counts.values())
@@ -504,7 +489,7 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
     words = [x for x in all_words(n) if rho_geq(x, window) >= 1]
     free = (1 << n) - len(words)
     adj = [0] * len(words)
-    balls = ({_slot_bytes(d, 1) for d in sticky_ball(x, window)} for x in words)
+    balls = (sticky_ball(bytes(x), window) for x in words)
     for i, counts in _overlaps(balls):
         for j in counts:
             adj[i] |= 1 << j
@@ -538,7 +523,7 @@ def verify_code_property(
         codewords = enumerate_code(params)
     k = len(codewords)
     w = params.window
-    balls = (_packed_ball(read_vector(x, w), w) for x in codewords)
+    balls = (_read_ball(read_vector(x, w), w) for x in codewords)
     first = min(((min(counts), i) for i, counts in _overlaps(balls)), default=None)
     if first is None:
         return CheckResult(ok=True, checked=k * (k - 1) // 2, detail={"codewords": k})

@@ -374,6 +374,15 @@ class TestVerify:
         assert out == ""
         assert "all 1 records are inconclusive" in err
 
+    def test_sphere_packing_all_inconclusive_exact_only_names_it(self, capsys):
+        # --exact-only would drop every record; the refusal names the cause
+        code, out, err = run(
+            capsys, "verify", "sphere-packing", "--n", "9", "--l", "2", "--exact-only"
+        )
+        assert code == 2
+        assert out == ""
+        assert "all 1 records are inconclusive" in err
+
     def test_sphere_packing_greedy_code_over_bound_fails(self, capsys, monkeypatch):
         # a greedy code is a real code: one larger than the bound refutes it
         monkeypatch.setattr(cli.bounds, "weighted_sum", lambda n, l: Fraction(1))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import nanoread
 from nanoread import oracle
-from nanoread.balls import deletion_ball, sticky_ball
+from nanoread.balls import deletion_ball, restricted_ball, sticky_ball
 from nanoread.bounds import weighted_sum
 from nanoread.code import (
     CodeParams,
@@ -98,19 +98,45 @@ class TestOverlaps:
 
 
 class TestPackedBall:
+    # the symbols 0, 1, 2 and the window itself: a byte holds each of
+    # them up to window 255, so the read ball is cut from bytes there
     @pytest.mark.parametrize("window", [1, 2, 3, 255, 256])
     def test_matches_packed_deletion_ball(self, window):
-        # the symbols 0, 1, 2 and the window itself, in one-byte slots up
-        # to window 255 and two-byte slots at 256
-        k, _ = oracle.core._window_slots(window)
+        pack = bytes if window < 256 else tuple
         for length in range(1, 7):
             for u in product((0, 1, 2, window), repeat=length):
-                want = {oracle._slot_bytes(d, k) for d in deletion_ball(u)}
-                assert oracle._packed_ball(u, window) == want, u
+                want = set(map(pack, deletion_ball(u)))
+                assert oracle._read_ball(u, window) == want, u
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 255])
+    def test_every_ball_of_bytes_is_packed(self, window):
+        for length in range(1, 7):
+            for u in product((0, 1, 2, window), repeat=length):
+                raw = bytes(u)
+                assert deletion_ball(raw) == set(map(bytes, deletion_ball(u)))
+                assert restricted_ball(raw, window) == set(
+                    map(bytes, restricted_ball(u, window))
+                )
+                for r in range(1, length + 1):
+                    assert sticky_ball(raw, r) == set(
+                        map(bytes, sticky_ball(u, r))
+                    ), (u, r)
+
+    def test_other_sequences_give_tuples(self):
+        assert deletion_ball([0, 1, 1]) == {(1, 1), (0, 1)}
+        assert deletion_ball(iter([0, 1, 1])) == {(1, 1), (0, 1)}
+        assert sticky_ball(range(3), 1) == {(1, 2), (0, 2), (0, 1)}
+        assert restricted_ball([2, 0], 2) == {(0,), (2,)}
+
+    def test_code_property_at_window_256(self):
+        # the second read vector holds the entry 256, which no byte holds
+        res = verify_code_property(CodeParams(256, 256, 0), [(0,) * 256, (1,) * 256])
+        assert res.ok
+        assert res.checked == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            oracle._packed_ball((), 2)
+            oracle._read_ball((), 2)
 
 
 class TestBallEquivalence:
@@ -388,15 +414,15 @@ class TestClaimChecks:
 
     def test_intersection_fault(self, monkeypatch):
         # two read vectors sharing two results break the limit of one at l = 2
-        real = oracle._packed_ball
+        real = oracle._read_ball
         first, last = read_vector((0, 0, 0), 2), read_vector((1, 1, 1), 2)
         shared = set(sorted(real(last, 2))[:2])
 
-        def _packed_ball(levels, window):
+        def _read_ball(levels, window):
             ball = real(levels, window)
             return ball | shared if tuple(levels) == first else ball
 
-        monkeypatch.setattr(oracle, "_packed_ball", _packed_ball)
+        monkeypatch.setattr(oracle, "_read_ball", _read_ball)
         res = verify_intersection_bound(3, 2)
         assert self._fails_as_json(res) == {
             "pair": [[0, 0, 0], [1, 1, 1]],

@@ -239,16 +239,16 @@ MUTANTS = [
         "if u[i] == u[i + 1]}",
     ),
     (
-        "packed ball slices inside runs",
-        "src/nanoread/oracle.py",
-        "map(ne, u, u[1:])",
-        "map(lambda a, b: a == b, u, u[1:])",
+        "deletion ball drops the last position's deletion",
+        "src/nanoread/balls.py",
+        "    ball.add(u[:last])\n",
+        "",
     ),
     (
-        "packed ball drops the last slot's deletion",
+        "oracle keys a window-256 read ball as bytes",
         "src/nanoread/oracle.py",
-        "    ball.add(raw[:-k])\n",
-        "",
+        "if window < 256 else",
+        "if window <= 256 else",
     ),
     (
         "sticky ball's run-length test is off by one",
