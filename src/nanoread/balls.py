@@ -90,9 +90,8 @@ def sticky_read_images(x: Sequence[int], window: int) -> set[Seq]:
     padded = pad + tuple(x) + pad
     out: set[Seq] = set()
     for py in sticky_ball(padded, window):
-        if window > 1 and (py[: window - 1] != pad or py[-(window - 1) :] != pad):
-            continue
-        y = py[window - 1 : len(py) - (window - 1)] if window > 1 else py
-        out.add(read_vector(y, window))
+        end = len(py) - (window - 1)
+        if py[: window - 1] == pad == py[end:]:
+            out.add(read_vector(py[window - 1 : end], window))
     return out
 

@@ -8,7 +8,7 @@ T_k = 2 T_(k-1) + (u - 1) T_(k-a), at four int operations a step for
 every threshold a.  One routine, ``_histograms``, steps every sweep: a
 bound table's, one per window through all its rows, and the one-row
 sweep behind ``rho_geq_histogram``, from which a bound report or
-packing chain takes every field; it unpacks with ``core._unpack``.
+packing chain takes every field; it unpacks with ``_unpack``.
 Only the closed-form redundancy bound uses floating point, since it
 mixes logs and exp.
 """
@@ -16,13 +16,15 @@ mixes logs and exp.
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator
 
-from .core import _unpack
+# bytes per slot -> struct code of that standard size ("<" byte order)
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def rho_geq_histogram(n: int, a: int) -> list[int]:
@@ -81,11 +83,26 @@ def _histograms(a: int, ks: Iterable[int], slot_bytes: int) -> Iterator[list[int
         yield list(_unpack(total - prev, target // a + 1, slot_bytes))
 
 
+def _unpack(value: int, slots: int, k: int) -> tuple[int, ...]:
+    """The first ``slots`` slots of value, k bytes each, little-endian.
+
+    Any k >= 1 serves; the widths of ``_SLOT_FORMATS`` take one call,
+    any other one slice per slot.
+    """
+    raw = value.to_bytes(k * slots, "little")
+    if k in _SLOT_FORMATS:
+        return struct.unpack(f"<{slots}{_SLOT_FORMATS[k]}", raw)
+    return tuple(
+        [int.from_bytes(raw[i : i + k], "little") for i in range(0, len(raw), k)]
+    )
+
+
 def redundancy_lower_bound(n: int, window: int) -> float:
     """Closed-form lower bound, in bits, on single-deletion redundancy.
 
     Defined for window >= 2 and n > 2 * window (the log argument needs
-    1 - 2*window/n > 0).  Approaches log2(n) - window + 1 - 1 for large n.
+    1 - 2*window/n > 0).  Approaches log2(n) - window, the paper's bound,
+    for large n: the argument of the second log tends to 2.
     """
     if window < 2:
         raise ValueError("bound requires window >= 2")

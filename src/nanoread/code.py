@@ -15,14 +15,12 @@ from itertools import compress
 from typing import Sequence
 
 from .core import (
-    _PACK_ERRORS,
-    ResourceLimitError,  # noqa: F401  (re-exported)
+    LengthMismatchError,
     Word,
     _bit_bytes,
+    _ones,
     _parities,
-    _slot_bytes,
-    _window_slots,
-    _word_parities,
+    _read_bytes,
     _xor_doubling,
     all_words,
 )
@@ -64,8 +62,8 @@ def _checksum(bits: Sequence[int], n: int) -> int:
 def syndrome(x: Sequence[int], n: int, window: int) -> int:
     """Weighted checksum of the read vector's mod-2 prefix, mod n+1."""
     if len(x) != n:
-        raise ValueError(f"word length {len(x)} != n = {n}")
-    return _checksum(_word_parities(x, window), n)
+        raise LengthMismatchError(f"word length {len(x)} != n = {n}")
+    return _checksum(_parities(_read_bytes(x, window), n), n)
 
 
 def is_member(x: Sequence[int], params: CodeParams) -> bool:
@@ -183,7 +181,9 @@ def vt_insert(received: Sequence[int], residue: int, n: int) -> tuple[int, ...]:
     """
     received = tuple(received)
     if len(received) != n - 1:
-        raise ValueError(f"received length {len(received)} != n - 1 = {n - 1}")
+        raise LengthMismatchError(
+            f"received length {len(received)} != n - 1 = {n - 1}"
+        )
     raw = _bit_bytes(received)
     if not 0 <= residue <= n:
         raise DecodeFailure("no insertion meets the checksum")
@@ -209,46 +209,46 @@ def _vt_insert(received: bytes, residue: int, n: int) -> bytes:
 def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     """Recover the transmitted codeword from an intact or once-deleted read.
 
-    The read is packed once in the window's slots and its parities are
+    The read is packed once, one byte per entry, and its parities are
     taken off those bytes: all n of a full-length read, or the first n-1
     of a shortened one, which VT insertion completes against the
     checksum.  The word x comes from the n parities by the xor-doubling
     steps, its read vector R from one multiplication.  A full-length
     read must equal R, and its parities' checksum the residue.  A
-    shortened read must be R less one entry: with i the first slot where
+    shortened read must be R less one entry: with i the first byte where
     the packed read and R differ (the read's length when none does), the
-    read's slots from i on equal R's from i + 1 on, one shift
+    read's bytes from i on equal R's from i + 1 on, one shift
     comparison.  The deleted entry then lies in R's run that ends at i;
     the path is "immediate" when its deletion left a gap of 2 there,
-    else "vt".  An entry that does not pack (not an int in [0, 256^k))
-    is no read vector, nor a deletion of one.  When no codeword explains
+    else "vt".  An entry that does not pack (not an int in [0, 256)) is
+    no read vector, nor a deletion of one.  When no codeword explains
     the read, ``DecodeFailure`` is raised (``MalformedInputError``, its
-    subclass, where ``immediate_correct`` rejects a shortened read).
+    subclass, where ``immediate_correct`` rejects a shortened read);
+    ``ResourceLimitError`` when the window exceeds 255, as n >= window.
     """
     candidate = tuple(candidate)
     n, window = params.n, params.window
     full, m = n + window - 1, len(candidate)
     if m != full and m != full - 1:
-        raise ValueError(f"candidate length {m} must be {full} or {full - 1}")
+        raise LengthMismatchError(f"candidate length {m} must be {full} or {full - 1}")
 
-    k, ones = _window_slots(window)
+    ones = _ones(window, n)
     try:
-        raw = _slot_bytes(candidate, k)
-    except _PACK_ERRORS:
-        pass  # an entry no slot holds: no read vector, nor a deletion of one
+        raw = bytes(candidate)
+    except (TypeError, ValueError):
+        pass  # an entry no byte holds: no read vector, nor a deletion of one
     else:
-        p = _parities(raw, k, m - window + 1)  # n, or n - 1 when shortened
+        p = _parities(raw, m - window + 1)  # n, or n - 1 when shortened
         if m < full:
             p = _vt_insert(p, params.residue, n)
         x = _xor_doubling(int.from_bytes(p, "little"), n, window)
         bits = x.to_bytes(n, "little")
-        rv = (x if k == 1 else int.from_bytes(_slot_bytes(bits, k), "little")) * ones
+        rv = x * ones
         if m < full:
             read = int.from_bytes(raw, "little")
             diff = read ^ rv
-            slot = 8 * k
-            i = ((diff & -diff).bit_length() - 1) // slot if diff else m
-            if read >> slot * i == rv >> slot * (i + 1):
+            i = ((diff & -diff).bit_length() - 1) // 8 if diff else m
+            if read >> 8 * i == rv >> 8 * (i + 1):
                 # a gap of 2 can only be at i, between the deleted entry's neighbours
                 gap = 0 < i < m and abs(candidate[i] - candidate[i - 1]) == 2
                 return DecodeOutcome(

@@ -5,29 +5,26 @@ at each shift the window's Hamming weight is emitted, with positions
 outside the word reading as 0.  The output ("read vector") has length
 n + window - 1 over the alphabet {0, ..., window}.
 
-The kernel works on sequences packed into one Python int, one
-fixed-width slot per position (one byte while window < 256, wider
-above, so that no window sum carries).  As polynomials the read vector
-is c(z) = x(z) * (1 + z + ... + z^(window-1)), so the transform is one
-multiplication by the window's all-ones number S, and a candidate is a
-read vector exactly when it divides by S with a quotient whose slots
-are bits.  ``oracle.word_of`` keeps the per-entry recurrence as
-ground truth.
+The kernel works on sequences packed into one Python int, one byte per
+position.  A read entry is the weight of the word bits under the
+window, at most min(window, n) of them, so a byte holds every entry
+while min(window, n) <= 255; beyond that the kernel raises
+``ResourceLimitError``, a size guard like ``MAX_ENUM_N``.  As
+polynomials the read vector is c(z) = x(z) * (1 + z + ... +
+z^(window-1)), so the transform is one multiplication by the window's
+all-ones number S, and a candidate is a read vector exactly when it
+divides by S with a quotient whose bytes are bits.  ``oracle.word_of``
+keeps the per-entry recurrence as ground truth.
 
-Each job on the packed format has one owner here: ``_slot_bytes``
-packs, in one call per sequence (``_PACK_ERRORS`` names what it raises
-for an entry no slot holds), ``_unpack`` unpacks slots of any width
-(the run histograms of ``bounds`` use it too), and ``_parities`` takes
-the mod-2 prefix off packed bytes: of a read of either length for the
-decoder, and of a word's read vector through ``_word_parities``, for
-the syndrome.  At one byte per slot a word's bits are already its
-packed bytes, so ``read_vector`` and ``_word_parities`` multiply them
-as they are and read the product's bytes back without ``_unpack``.
+Each job on the packed format has one owner here: ``_ones`` builds S
+and keeps the guard, ``_read_bytes`` multiplies (a word's bits are
+already its packed bytes), ``_word_bytes`` divides, and ``_parities``
+takes the mod-2 prefix off packed bytes: of a read of either length
+for the decoder, and of a word's read vector for the syndrome.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
@@ -59,59 +56,30 @@ def all_words(n: int) -> Iterator[Word]:
     return product((0, 1), repeat=n)
 
 
-# bytes per slot -> struct code of that standard size ("<" byte order)
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BITS = b"\x00\x01"
 _PARITY = _BITS * 128  # byte -> its low bit, a bytes.translate table
 _NOT_BITS = "word entries must be bits (0 or 1)"
-# what ``_slot_bytes`` raises for an entry its slots cannot hold
-_PACK_ERRORS = (TypeError, ValueError, struct.error)
+# the largest entry one byte holds: read entries reach min(window, n)
+_MAX_ENTRY = 255
 
 
 @lru_cache(maxsize=64)
-def _window_slots(window: int) -> tuple[int, int]:
-    """(k, S) for a window: k bytes per packed slot and the all-ones S.
+def _ones(window: int, n: int) -> int:
+    """S, the all-ones number of a window over words of n bits: a 1 in
+    each of its first ``window`` bytes.
 
-    k is the narrowest of 1, 2, 4 and 8 bytes whose slot holds
-    ``window``, so that no window sum carries into the next slot: one
-    byte while window < 256.  S has a 1 in each of its first ``window``
-    slots; multiplying a packed word by S adds every window of it,
-    which is the read transform.
+    Multiplying a word packed one bit per byte by S adds every window
+    of it, which is the read transform.  No window sum carries, as each
+    is at most min(window, n); ``ResourceLimitError`` when that may
+    pass a byte, which is exactly when min(window, n) > 255.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    k = next((k for k in _SLOT_FORMATS if window >> 8 * k == 0), None)
-    if k is None:
-        raise OverflowError(f"window {window} does not fit a packed slot")
-    return k, (1 << 8 * k * window) // ((1 << 8 * k) - 1)
-
-
-def _slot_bytes(entries: Sequence[int], k: int) -> bytes:
-    """Entry i in slot i, k bytes wide, little-endian.
-
-    Raises one of ``_PACK_ERRORS`` for an entry that is not an int in
-    [0, 256^k).
-    """
-    if k == 1:
-        return bytes(entries)
-    return struct.pack(f"<{len(entries)}{_SLOT_FORMATS[k]}", *entries)
-
-
-def _unpack(value: int, slots: int, k: int) -> tuple[int, ...]:
-    """The first ``slots`` slots of value, k bytes each, little-endian:
-    the inverse of ``_slot_bytes`` read as one little-endian int.
-
-    Any k >= 1 serves; the widths of ``_SLOT_FORMATS`` take one call,
-    any other one slice per slot.
-    """
-    raw = value.to_bytes(k * slots, "little")
-    if k == 1:
-        return tuple(raw)
-    if k in _SLOT_FORMATS:
-        return struct.unpack(f"<{slots}{_SLOT_FORMATS[k]}", raw)
-    return tuple(
-        [int.from_bytes(raw[i : i + k], "little") for i in range(0, len(raw), k)]
-    )
+    if min(window, n) > _MAX_ENTRY:
+        raise ResourceLimitError(
+            f"one byte per read entry: guarded at min(window, n) <= {_MAX_ENTRY}"
+        )
+    return (1 << 8 * window) // 255
 
 
 def _bit_bytes(x: Sequence[int]) -> bytes:
@@ -126,22 +94,31 @@ def _bit_bytes(x: Sequence[int]) -> bytes:
     return raw
 
 
+def _read_bytes(x: Sequence[int], window: int) -> bytes:
+    """x's read vector, one byte per entry: the bytes of the product of
+    x, packed one bit per byte, and the window's all-ones S.
+
+    Raises like ``read_vector``.
+    """
+    x = tuple(x)  # its length sizes the guard before its bits are checked
+    ones = _ones(window, len(x))
+    raw = _bit_bytes(x)
+    c = int.from_bytes(raw, "little") * ones
+    return c.to_bytes(len(raw) + window - 1, "little")
+
+
 def read_vector(x: Sequence[int], window: int) -> Levels:
     """Window-weight transform of a binary word.
 
     Entry i (1-based) is the weight of x[i-window+1 .. i], out-of-range
     positions reading as 0.  Output length is len(x) + window - 1.
     Every entry of x must be 0 or 1; any other raises ``ValueError``.
+    ``ResourceLimitError`` when min(window, len(x)) > 255.
 
     As polynomials, c(z) = x(z) * (1 + z + ... + z^(window-1)): one
-    multiplication of the packed word by the window's all-ones number,
-    in slots wide enough that no window sum carries.
+    multiplication of the packed word by the window's all-ones number.
     """
-    k, ones = _window_slots(window)
-    raw = _bit_bytes(x)
-    m = len(raw) + window - 1
-    c = int.from_bytes(raw if k == 1 else _slot_bytes(raw, k), "little") * ones
-    return tuple(c.to_bytes(m, "little")) if k == 1 else _unpack(c, m, k)
+    return tuple(_read_bytes(x, window))
 
 
 def recover_from_mod2(prefix: Sequence[int], window: int) -> Word:
@@ -176,49 +153,31 @@ def _xor_doubling(p: int, n: int, window: int) -> int:
     return x & ((1 << 8 * n) - 1)
 
 
-def _word_bytes(levels: Sequence[int], window: int, n: int) -> bytes | None:
+def _word_bytes(levels: Sequence[int], ones: int, n: int) -> bytes | None:
     """The binary word of length n whose read vector is levels, one byte
-    per bit, or None.
+    per bit, or None; ones is ``_ones(window, n)``.
 
-    levels must have length n + window - 1.  Packed in the window's
-    slots as C, levels is a read vector exactly when C = Q * S for the
-    all-ones S and every slot of Q is a bit: the remainder of C by S is
-    0 and no byte of Q but the low byte of a slot is set, and those are
-    0 or 1.  Q then is the word.  C < 2^(8k(n+window-1)) and S >=
-    2^(8k(window-1)), so Q always fits in n slots.  An entry outside
-    [0, 256^k) cannot be a window sum and gives None.
+    levels must have length n + window - 1.  Packed one byte per entry
+    as C, levels is a read vector exactly when C = Q * S for the
+    all-ones S and every byte of Q is a bit: the remainder of C by S is
+    0, and Q then is the word.  C < 2^(8(n+window-1)) and S >=
+    2^(8(window-1)), so Q always fits in n bytes.  An entry outside
+    [0, 256) cannot be a window sum and gives None.
     """
-    k, ones = _window_slots(window)
     try:
-        c = int.from_bytes(_slot_bytes(levels, k), "little")
-    except _PACK_ERRORS:
+        c = int.from_bytes(bytes(levels), "little")
+    except (TypeError, ValueError):  # an entry no byte holds
         return None
     q, r = divmod(c, ones)
     if r:
         return None
-    raw = q.to_bytes(n * k, "little")
-    low = raw[::k]  # raw itself when k == 1
-    if raw.translate(None, _BITS) or k > 1 and raw.count(1) != low.count(1):
-        return None
-    return low
+    raw = q.to_bytes(n, "little")
+    return None if raw.translate(None, _BITS) else raw
 
 
-def _parities(raw: bytes, k: int, count: int) -> bytes:
-    """The parities of the first count k-byte slots of raw, one byte each."""
-    return raw[: k * count : k].translate(_PARITY)
-
-
-def _word_parities(x: Sequence[int], window: int) -> bytes:
-    """The parities of the first len(x) entries of x's read vector, one
-    byte each, off the bytes of the packed product: no tuple is built.
-
-    Raises like ``read_vector``.
-    """
-    k, ones = _window_slots(window)
-    raw = _bit_bytes(x)
-    n = len(raw)
-    c = int.from_bytes(raw if k == 1 else _slot_bytes(raw, k), "little") * ones
-    return _parities(c.to_bytes(k * (n + window - 1), "little"), k, n)
+def _parities(raw: bytes, count: int) -> bytes:
+    """The parities of the first count bytes of raw, one byte each."""
+    return raw[:count].translate(_PARITY)
 
 
 def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:
@@ -231,7 +190,7 @@ def is_valid_read_vector(levels: Sequence[int], window: int, n: int) -> bool:
         raise LengthMismatchError(
             f"candidate length {len(levels)} != n + window - 1 = {n + window - 1}"
         )
-    return _word_bytes(levels, window, n) is not None
+    return _word_bytes(levels, _ones(window, n), n) is not None
 
 
 # --- serialization -----------------------------------------------------

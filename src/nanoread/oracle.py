@@ -10,13 +10,12 @@ The index (``_overlaps``) streams: each ball, as it arrives, counts its
 overlaps with the earlier balls and hands them to its caller, which
 keeps only what its check needs (the largest overlap, the conflict
 graph's edges, the first colliding pair), so no table of all pairs is
-built.  Its keys are ball elements as bytes, one byte an entry,
-wherever a byte holds every entry: bytes take a fraction of a tuple's
-memory, and a ball of ``balls`` cut from ``bytes(u)`` slices it as
-bytes, so its elements are never built as tuples.  A binary word's
-in-run ball is cut from its bytes, and so is a read vector's ball
-(``_read_ball``) while the window is below 256, as no entry exceeds
-the window; from window 256 on its keys stay tuples.
+built.  Its keys are ball elements as bytes, one byte an entry: bytes
+take a fraction of a tuple's memory, and a ball of ``balls`` cut from
+``bytes(u)`` slices it as bytes, so its elements are never built as
+tuples.  A binary word's in-run ball is cut from its bytes, and so is a
+read vector's ball (``_read_ball``): ``read_vector`` computes only
+where a byte holds every entry, min(window, n) <= 255.
 
 Every ``verify_*`` function returns a ``CheckResult``.  The per-word
 checks (``verify_decoder``, ``verify_reconstruction`` and
@@ -62,6 +61,7 @@ from .code import (
     syndrome,
 )
 from .core import (
+    LengthMismatchError,
     ResourceLimitError,
     Word,
     all_words,
@@ -259,10 +259,16 @@ def word_of(levels: Sequence[int], window: int, n: int) -> Word | None:
     """The binary word of length n whose read vector is levels, or None,
     by the per-entry recurrence x_i = c_i - c_{i-1} + x_{i-window}.
 
-    levels must have length n + window - 1.  The first n steps must
-    give bits, and the window - 1 entries past the end of the word must
-    step down by exactly the bit leaving the window.
+    levels must have length n + window - 1, else
+    ``LengthMismatchError`` is raised, as ``is_valid_read_vector``
+    does.  The first n steps must give bits, and the window - 1 entries
+    past the end of the word must step down by exactly the bit leaving
+    the window.
     """
+    if len(levels) != n + window - 1:
+        raise LengthMismatchError(
+            f"candidate length {len(levels)} != n + window - 1 = {n + window - 1}"
+        )
     x = [0] * window  # x[i] holds bit i - window; bits before the word are 0
     prev = 0
     for s in levels[:n]:
@@ -286,7 +292,9 @@ def vt_insert_bruteforce(
     the input arose from a single deletion."""
     received = tuple(received)
     if len(received) != n - 1:
-        raise ValueError(f"received length {len(received)} != n - 1 = {n - 1}")
+        raise LengthMismatchError(
+            f"received length {len(received)} != n - 1 = {n - 1}"
+        )
     survivors = set()
     for i in range(n):
         for b in (0, 1):
@@ -361,11 +369,11 @@ def _overlaps(balls: Iterable[set]) -> Iterator[tuple[int, dict[int, int]]]:
             yield i, counts
 
 
-def _read_ball(levels: Sequence[int], window: int) -> set:
+def _read_ball(levels: Sequence[int]) -> set:
     """The deletion ball of the read vector levels as ``_overlaps``
-    keys: bytes while a byte holds every entry, which is at most the
-    window, and tuples from window 256 on."""
-    return deletion_ball(bytes(levels) if window < 256 else levels)
+    keys: bytes, one byte an entry, which holds every entry of a read
+    vector ``read_vector`` returns."""
+    return deletion_ball(bytes(levels))
 
 
 def _nth_word(i: int, n: int) -> Word:
@@ -379,7 +387,7 @@ def verify_intersection_bound(n: int, window: int) -> CheckResult:
     The witness is the pair (a, b), a < b in enumeration order, of
     largest overlap, the smallest such pair on a tie.
     """
-    balls = (_read_ball(read_vector(x, window), window) for x in all_words(n))
+    balls = (_read_ball(read_vector(x, window)) for x in all_words(n))
     best, a, b = 0, 0, 0
     for i, counts in _overlaps(balls):
         top = max(counts.values())
@@ -523,7 +531,7 @@ def verify_code_property(
         codewords = enumerate_code(params)
     k = len(codewords)
     w = params.window
-    balls = (_read_ball(read_vector(x, w), w) for x in codewords)
+    balls = (_read_ball(read_vector(x, w)) for x in codewords)
     first = min(((min(counts), i) for i, counts in _overlaps(balls)), default=None)
     if first is None:
         return CheckResult(ok=True, checked=k * (k - 1) // 2, detail={"codewords": k})

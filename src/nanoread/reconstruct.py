@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import LengthMismatchError, _word_bytes
+from .core import LengthMismatchError, _ones, _word_bytes
 
 
 class InconsistentReadsError(ValueError):
@@ -36,7 +36,8 @@ def reconstruct_two(
     made before the candidate is built.  The head, else the tail, is
     returned when it holds second and is a legitimate read vector.
     When neither is, no legitimate read vector holds both reads and
-    ``InconsistentReadsError`` is raised.
+    ``InconsistentReadsError`` is raised.  ``ResourceLimitError`` when
+    min(window, n) > 255, as the read vector's entries may pass a byte.
     """
     if window < 2:
         raise ValueError("two-read reconstruction requires window >= 2")
@@ -46,6 +47,7 @@ def reconstruct_two(
         raise LengthMismatchError(
             f"both reads must have length {expect}, got {len(r1)} and {len(r2)}"
         )
+    ones = _ones(window, n)
     i0 = 0
     while i0 < expect and r1[i0] == r2[i0]:
         i0 += 1
@@ -57,10 +59,10 @@ def reconstruct_two(
     i, j = i0 + 1, j0 + 1
     if r2[i:j] == r1[i0:j0]:
         head = r1[:i0] + r2[i0:i] + r1[i0:]
-        if _word_bytes(head, window, n) is not None:
+        if _word_bytes(head, ones, n) is not None:
             return head
     if r2[i0:j0] == r1[i:j]:
         tail = r1[:j] + r2[j0:j] + r1[j:]
-        if _word_bytes(tail, window, n) is not None:
+        if _word_bytes(tail, ones, n) is not None:
             return tail
     raise InconsistentReadsError("no legitimate read vector holds both reads")

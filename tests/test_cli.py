@@ -49,6 +49,16 @@ class TestTransform:
         assert out == ""
         assert f"error: {f}:2: " in err
 
+    def test_one_byte_guard(self, capsys):
+        # entries reach min(l, n): 255 computes, 256 exits 2 with nothing on stdout
+        code, out, _ = run(capsys, "transform", "1" * 255, "--l", "300")
+        assert code == 0
+        assert out.strip().split(",")[254:256] == ["255", "255"]
+        code, out, err = run(capsys, "transform", "1" * 256, "--l", "256")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "<= 255" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"
         code, out, err = run(capsys, "transform", "--l", "2", "--input", str(missing))

@@ -11,7 +11,6 @@ from nanoread.code import (
     DecodeFailure,
     DecodeOutcome,
     MalformedInputError,
-    ResourceLimitError,
     best_residue,
     decode,
     encode,
@@ -21,21 +20,28 @@ from nanoread.code import (
     syndrome,
     vt_insert,
 )
-from nanoread import oracle
+from nanoread import LengthMismatchError, ResourceLimitError, oracle
 from nanoread.core import read_vector
 from nanoread.oracle import all_words, vt_insert_bruteforce
 
-# windows on both sides of the step from one-byte to two-byte slots
+# windows on both sides of 256, where S outgrows 256 bytes
 WIDE_WINDOWS = (255, 256, 257)
 
 
 def wide_words(w):
     """Words of length >= w made of runs up to 2w long, so that window
-    sums reach w and fill the widest slot."""
+    sums reach w: a full byte at window 255, past one from 256 on."""
     runs = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 2 * w)), max_size=4)
     return runs.map(
         lambda rs: tuple(b for b, k in rs for _ in range(k)) + (0,) * w
     )
+
+
+# words of at most 255 bits made of runs up to 255 long, so that window
+# sums reach min(window, n) and fill a byte at windows 255 and up
+byte_words = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(1, 255)), min_size=1, max_size=4
+).map(lambda rs: tuple(b for b, k in rs for _ in range(k))[:255])
 
 
 def syndrome_by_definition(x, w):
@@ -55,11 +61,21 @@ class TestSyndrome:
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_matches_definition_wide_windows(self, data):
-        # window sums reach w, so a parity read off the wrong byte of a
-        # wide slot shows
+        # window sums fill a byte, so a carry into the next entry shows
         w = data.draw(st.sampled_from(WIDE_WINDOWS))
-        x = data.draw(wide_words(w))
+        x = data.draw(byte_words)
         assert syndrome(x, len(x), w) == syndrome_by_definition(x, w)
+        # from n = 256 on, windows 256 and up are refused
+        longer = x + (1,) * (256 - len(x))
+        if w > 255:
+            with pytest.raises(ResourceLimitError):
+                syndrome(longer, 256, w)
+        else:
+            assert syndrome(longer, 256, w) == syndrome_by_definition(longer, w)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError, match="word length 3 != n = 4"):
+            syndrome((1, 0, 1), 4, 2)
 
     def test_reference_word(self):
         # mod-2 prefix (1,1,0,0,0,1): 1 + 2 + 6 = 9 = 2 (mod 7)
@@ -219,7 +235,7 @@ class TestVtInsert:
         with pytest.raises(ValueError, match="must be bits"):
             read_vector((0, bad, 1), 2)
         # the length is checked first
-        with pytest.raises(ValueError, match="received length"):
+        with pytest.raises(LengthMismatchError, match="received length"):
             vt_insert((bad,), 0, 4)
 
     def test_unique_survivor_exhaustive(self):
@@ -253,7 +269,7 @@ class TestDecode:
             decode((1, 2, 1, 2, 2, 1, 0, 0), CodeParams(6, 3, 2))
 
     def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatchError, match="length 2 must be 8 or 7"):
             decode((1, 1), CodeParams(6, 3, 2))
 
     def test_oversized_gap_rejected(self):
@@ -380,6 +396,13 @@ class TestDecodeContract:
     def test_wide_slot_round_trip(self, w, data):
         x = data.draw(wide_words(w))
         n = len(x)
+        if w > 255:
+            # n >= w, so entries may pass a byte: every read is refused
+            params = CodeParams(n, w, 0)
+            for read in ((0,) * (n + w - 1), (0,) * (n + w - 2)):
+                with pytest.raises(ResourceLimitError):
+                    decode(read, params)
+            return
         params = CodeParams(n, w, syndrome(x, n, w))
         rv = read_vector(x, w)
         assert decode(rv, params) == DecodeOutcome(x, "no-deletion")
@@ -399,9 +422,14 @@ class TestDecodeContract:
     def test_wide_slot_every_deletion(self):
         # a read vector with ramps (deletions there leave a gap of 2), a
         # flat top at the window and a tail of zeros: both deletion paths
+        # at window 255; from 256 on n >= w, and decode refuses
         for w in WIDE_WINDOWS:
             x = (1,) * (w + 5) + (0,) * 8
             n = len(x)
+            if w > 255:
+                with pytest.raises(ResourceLimitError, match="<= 255"):
+                    decode((0,) * (n + w - 2), CodeParams(n, w, 0))
+                continue
             params = CodeParams(n, w, syndrome(x, n, w))
             rv = read_vector(x, w)
             paths = set()
@@ -412,11 +440,17 @@ class TestDecodeContract:
             assert paths == {"immediate", "vt"}, w
 
     def test_wide_slot_entry_out_of_range(self):
-        # an entry outside [0, 256^k) packs in no slot; beside entries
-        # one away it leaves no gap, so the read takes the vt path
+        # an entry outside [0, 256) packs in no byte; beside entries one
+        # away it leaves no gap, so the read takes the vt path.  From
+        # window 256 on n >= w, and decode refuses before it packs
         for w in WIDE_WINDOWS:
             x = (1,) * (w + 5) + (0,) * 8
             n = len(x)
+            if w > 255:
+                for bad in (-1, 256, None):
+                    with pytest.raises(ResourceLimitError):
+                        decode((bad,) * (n + w - 1), CodeParams(n, w, 0))
+                continue
             params = CodeParams(n, w, syndrome(x, n, w))
             rv = read_vector(x, w)
             spots = [(len(rv) - 4, -1)] + [(w + 1, 256)] * (w == 255)

@@ -9,6 +9,7 @@ from nanoread.core import (
     MAX_ENUM_N,
     LengthMismatchError,
     ResourceLimitError,
+    _ones,
     _word_bytes,
     format_levels,
     format_word,
@@ -22,12 +23,12 @@ from nanoread.core import all_words as core_all_words
 
 words = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(tuple)
 long_words = st.lists(st.integers(0, 1), min_size=0, max_size=2048).map(tuple)
-# words of a few hundred bits made of long runs, so that a window of
-# 256 sees a sum of 256 and a one-byte slot would carry
+# words of at most 255 bits made of long runs, so that a window of 255
+# or more sees sums up to 255, the most a byte holds
 run_words = st.lists(
-    st.tuples(st.integers(0, 1), st.integers(1, 300)), min_size=1, max_size=3
-).map(lambda runs: tuple(b for b, length in runs for _ in range(length)))
-# windows on both sides of the step from one-byte to two-byte slots
+    st.tuples(st.integers(0, 1), st.integers(1, 255)), min_size=1, max_size=3
+).map(lambda runs: tuple(b for b, length in runs for _ in range(length))[:255])
+# windows on both sides of 256, where S outgrows 256 bytes
 WIDE_WINDOWS = (255, 256, 257)
 windows = st.one_of(st.integers(1, 6), st.sampled_from(WIDE_WINDOWS))
 NOT_BITS = ((0, 2, 1), (1, -1), (0, 256), (1, 1.0), (0, 1 << 70), ("1",))
@@ -49,7 +50,7 @@ def window_sums(x, w):
 
 def _word(levels, w, n):
     """``_word_bytes`` as a tuple of bits, or None."""
-    raw = _word_bytes(levels, w, n)
+    raw = _word_bytes(levels, _ones(w, n), n)
     return None if raw is None else tuple(raw)
 
 
@@ -101,11 +102,24 @@ class TestReadVector:
     @given(run_words, windows)
     def test_window_sums_wide_windows(self, x, w):
         assert read_vector(x, w) == window_sums(x, w)
+        # one more bit takes min(w, n) past a byte from window 256 on
+        longer = x + (1,) * (256 - len(x))
+        if w > 255:
+            with pytest.raises(ResourceLimitError):
+                read_vector(longer, w)
+        else:
+            assert read_vector(longer, w) == window_sums(longer, w)
 
     def test_full_windows_at_the_slot_step(self):
-        for w in WIDE_WINDOWS:
-            for n in (1, 255, 256, 257, 600):
-                assert read_vector((1,) * n, w) == window_sums((1,) * n, w), (n, w)
+        # entries reach min(w, n): computed while a byte holds 255, refused past it
+        for w in (*WIDE_WINDOWS, 300):
+            for n in (1, 255, 256, 257, 300, 600):
+                x = (1,) * n
+                if min(w, n) <= 255:
+                    assert read_vector(x, w) == window_sums(x, w), (n, w)
+                else:
+                    with pytest.raises(ResourceLimitError, match="<= 255"):
+                        read_vector(x, w)
 
     @pytest.mark.parametrize("x", NOT_BITS)
     def test_rejects_non_bits(self, x):
@@ -181,6 +195,12 @@ class TestValidity:
         with pytest.raises(LengthMismatchError):
             is_valid_read_vector((1, 1, 1), 3, 6)
 
+    def test_word_of_length_mismatch_raises(self):
+        # the oracle checks the length as is_valid_read_vector does
+        for levels in ((1,), (1, 1, 1, 1, 1)):
+            with pytest.raises(LengthMismatchError, match="candidate length"):
+                oracle.word_of(levels, 2, 3)
+
     def test_accepts_exactly_the_image(self):
         # every sequence over -1..w+1 of length n + w - 1 <= 8, so
         # out-of-range symbols and steps of 2 or more are covered too
@@ -211,16 +231,21 @@ class TestValidity:
 
     def test_out_of_range_symbols_invalid(self):
         for w in (2,) + WIDE_WINDOWS:
-            rv = list(read_vector((1,) * 300, w))
+            rv = list(read_vector((1,) * 255, w))
             for bad in (-1, w + 1, 256, 1 << 16, 1 << 70):
                 c = tuple(rv[:5] + [bad] + rv[6:])
-                assert not is_valid_read_vector(c, w, 300), (w, bad)
+                assert not is_valid_read_vector(c, w, 255), (w, bad)
+        # from n = 256 on, windows 256 and up are refused, whatever the entries
+        for w in WIDE_WINDOWS[1:]:
+            for c in ((0,) * (w + 255), (-1,) * (w + 255), (1 << 16,) * (w + 255)):
+                with pytest.raises(ResourceLimitError):
+                    is_valid_read_vector(c, w, 256)
 
     def test_scaled_read_vectors(self):
         # q * rv divides by the window's all-ones number with a quotient
         # whose slots hold 0 or q: a word only when q == 1
         for w in (2,) + WIDE_WINDOWS:
-            for x in ((1,), (1, 0, 1), (1,) * 300):
+            for x in ((1,), (1, 0, 1), (1,) * 255):
                 rv = read_vector(x, w)
                 for q in (0, 1, 2, 256, 257):
                     c = tuple(q * v for v in rv)

@@ -98,15 +98,15 @@ class TestOverlaps:
 
 
 class TestPackedBall:
-    # the symbols 0, 1, 2 and the window itself: a byte holds each of
-    # them up to window 255, so the read ball is cut from bytes there
+    # the symbols 0, 1, 2 and the largest entry of a read vector,
+    # min(window, 255) inside the one-byte guard: a byte holds each of
+    # them, so the read ball is cut from bytes at every window
     @pytest.mark.parametrize("window", [1, 2, 3, 255, 256])
     def test_matches_packed_deletion_ball(self, window):
-        pack = bytes if window < 256 else tuple
         for length in range(1, 7):
-            for u in product((0, 1, 2, window), repeat=length):
-                want = set(map(pack, deletion_ball(u)))
-                assert oracle._read_ball(u, window) == want, u
+            for u in product((0, 1, 2, min(window, 255)), repeat=length):
+                want = set(map(bytes, deletion_ball(u)))
+                assert oracle._read_ball(u) == want, u
 
     @pytest.mark.parametrize("window", [1, 2, 3, 255])
     def test_every_ball_of_bytes_is_packed(self, window):
@@ -129,14 +129,17 @@ class TestPackedBall:
         assert restricted_ball([2, 0], 2) == {(0,), (2,)}
 
     def test_code_property_at_window_256(self):
-        # the second read vector holds the entry 256, which no byte holds
-        res = verify_code_property(CodeParams(256, 256, 0), [(0,) * 256, (1,) * 256])
+        # at window 255 the second read vector holds the entry 255, the
+        # most a byte holds; at window 256 it would hold 256 and is refused
+        res = verify_code_property(CodeParams(255, 255, 0), [(0,) * 255, (1,) * 255])
         assert res.ok
         assert res.checked == 1
+        with pytest.raises(ResourceLimitError):
+            verify_code_property(CodeParams(256, 256, 0), [(0,) * 256, (1,) * 256])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            oracle._read_ball((), 2)
+            oracle._read_ball(())
 
 
 class TestBallEquivalence:
@@ -416,10 +419,10 @@ class TestClaimChecks:
         # two read vectors sharing two results break the limit of one at l = 2
         real = oracle._read_ball
         first, last = read_vector((0, 0, 0), 2), read_vector((1, 1, 1), 2)
-        shared = set(sorted(real(last, 2))[:2])
+        shared = set(sorted(real(last))[:2])
 
-        def _read_ball(levels, window):
-            ball = real(levels, window)
+        def _read_ball(levels):
+            ball = real(levels)
             return ball | shared if tuple(levels) == first else ball
 
         monkeypatch.setattr(oracle, "_read_ball", _read_ball)

@@ -5,10 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanoread.balls import deletion_ball
-from nanoread.core import LengthMismatchError, is_valid_read_vector, read_vector
+from nanoread.core import (
+    LengthMismatchError,
+    ResourceLimitError,
+    is_valid_read_vector,
+    read_vector,
+)
 from nanoread.oracle import all_words
 
-# windows on both sides of the step from one-byte to two-byte slots
+# windows on both sides of 256, where S outgrows 256 bytes
 WIDE_WINDOWS = (255, 256, 257)
 from nanoread.reconstruct import InconsistentReadsError, reconstruct_two
 
@@ -140,22 +145,33 @@ class TestReconstructTwo:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(WIDE_WINDOWS), st.data())
     def test_wide_slot_round_trip(self, w, data):
-        # runs up to 2w long, so that window sums fill the widest slot
+        # at most 255 bits in runs up to 255 long, so that window sums
+        # fill a byte
         runs = data.draw(
-            st.lists(st.tuples(st.integers(0, 1), st.integers(1, 2 * w)), max_size=4)
+            st.lists(st.tuples(st.integers(0, 1), st.integers(1, 255)), max_size=4)
         )
-        x = tuple(b for b, k in runs for _ in range(k)) + (0,) * w
+        x = (tuple(b for b, k in runs for _ in range(k)) + (0,) * 8)[:255]
         rv = read_vector(x, w)
         i, j = data.draw(st.lists(st.integers(0, len(rv) - 1), min_size=2, max_size=2))
         r1, r2 = rv[:i] + rv[i + 1 :], rv[:j] + rv[j + 1 :]
         if r1 != r2:
             assert reconstruct_two(r1, r2, w, len(x)) == rv
+        # from n = 256 on, windows 256 and up are refused
+        n = 256
+        r1 = (0,) * (n + w - 2)
+        r2 = (1,) + r1[1:]
+        if w > 255:
+            with pytest.raises(ResourceLimitError):
+                reconstruct_two(r1, r2, w, n)
+        else:
+            with pytest.raises(InconsistentReadsError):
+                reconstruct_two(r1, r2, w, n)
 
     def test_wide_slot_entry_out_of_range(self):
-        # -1, and 256 and 2^16 outside one- and two-byte slots, packed
-        # into the tail of zeros of one read
+        # -1, and 256, 2^16 and 2^70 that no byte holds, put into the
+        # tail of zeros of one read of a 255-bit word
         for w in WIDE_WINDOWS:
-            x = (1,) * (w + 5) + (0,) * 8
+            x = (1,) * 247 + (0,) * 8
             rv = read_vector(x, w)
             r2 = rv[1:]
             for bad in (-1, 256, 1 << 16, 1 << 70):
