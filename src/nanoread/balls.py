@@ -6,7 +6,7 @@ from itertools import chain, compress
 from operator import ne
 from typing import Sequence
 
-from .core import read_vector
+from .core import _bit_bytes, read_vector
 
 Seq = tuple[int, ...]
 
@@ -73,6 +73,8 @@ def sticky_ball(u: Sequence[int], r: int) -> set[Seq | bytes]:
 def restricted_ball(u: Sequence[int], k: int) -> set[Seq | bytes]:
     """Deletions permitted only at positions holding symbol 0 or k;
     the results are bytes for bytes, else tuples, as in ``deletion_ball``."""
+    if k < 1:
+        raise ValueError("window must be >= 1")
     u = u if isinstance(u, (tuple, bytes)) else tuple(u)
     return {u[:i] + u[i + 1 :] for i, s in enumerate(u) if s == 0 or s == k}
 
@@ -80,18 +82,16 @@ def restricted_ball(u: Sequence[int], k: int) -> set[Seq | bytes]:
 def sticky_read_images(x: Sequence[int], window: int) -> set[Seq]:
     """Read vectors of the words reachable by one in-run deletion.
 
-    Pads x with window-1 zeros on both sides, applies every deletion
-    inside a run of length >= window, and collects the read vectors of
-    the words y whose padded form arises this way.
+    A run of length >= window may lose a bit, and so may an edge run of
+    zeros, lifted past any window by the zeros outside the word.  x must
+    be bits, else ``ValueError``; the empty word gives the empty set.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    pad = (0,) * (window - 1)
-    padded = pad + tuple(x) + pad
-    out: set[Seq] = set()
-    for py in sticky_ball(padded, window):
-        end = len(py) - (window - 1)
-        if py[: window - 1] == pad == py[end:]:
-            out.add(read_vector(py[window - 1 : end], window))
-    return out
-
+    x = _bit_bytes(x)
+    ys = sticky_ball(x, window)
+    if x[:1] == b"\x00":
+        ys.add(x[1:])
+    if x[-1:] == b"\x00":
+        ys.add(x[:-1])
+    return {read_vector(y, window) for y in ys}

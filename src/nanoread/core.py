@@ -84,7 +84,8 @@ def _ones(window: int, n: int) -> int:
 
 def _bit_bytes(x: Sequence[int]) -> bytes:
     """x as one byte per entry; ``ValueError`` unless every entry is 0 or 1."""
-    x = tuple(x)  # bytes() would read an int as a length, a buffer as raw bytes
+    # bytes() would read an int as a length, a buffer as raw bytes
+    x = x if isinstance(x, bytes) else tuple(x)
     try:
         raw = bytes(x)
     except (TypeError, ValueError) as exc:  # an entry outside range(256)
@@ -100,7 +101,7 @@ def _read_bytes(x: Sequence[int], window: int) -> bytes:
 
     Raises like ``read_vector``.
     """
-    x = tuple(x)  # its length sizes the guard before its bits are checked
+    x = x if isinstance(x, bytes) else tuple(x)  # sized before its bits are checked
     ones = _ones(window, len(x))
     raw = _bit_bytes(x)
     c = int.from_bytes(raw, "little") * ones

@@ -490,15 +490,14 @@ def exact_max_sticky_code(n: int, window: int) -> StickyCodeResult:
     """Largest set of length-n words with pairwise disjoint in-run
     deletion balls.
 
-    The search runs over words whose ball is nonempty; the rest are
-    counted as free.  Exact independent-set search up to n <= 8 (n <= 6
+    The search runs over words whose ``sticky_ball`` is nonempty; the rest
+    are counted as free.  Exact independent-set search up to n <= 8 (n <= 6
     at window 1); beyond that the greedy result is a labeled lower bound.
     """
-    words = [x for x in all_words(n) if rho_geq(x, window) >= 1]
+    words = [x for x in all_words(n) if sticky_ball(bytes(x), window)]
     free = (1 << n) - len(words)
     adj = [0] * len(words)
-    balls = (sticky_ball(bytes(x), window) for x in words)
-    for i, counts in _overlaps(balls):
+    for i, counts in _overlaps(sticky_ball(bytes(x), window) for x in words):
         for j in counts:
             adj[i] |= 1 << j
             adj[j] |= 1 << i

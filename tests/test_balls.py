@@ -1,5 +1,6 @@
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +28,19 @@ mixed = st.builds(
 def per_position_ball(u):
     """The deletion ball by its definition: one slice per position."""
     return {u[:i] + u[i + 1 :] for i in range(len(u))}
+
+
+def padded_read_images(x, window):
+    """The in-run images by the padding model: pad x with window-1 zeros
+    on both sides, delete inside each run of length >= window, and keep
+    the words y whose padded form arises this way."""
+    pad = (0,) * (window - 1)
+    out = set()
+    for py in sticky_ball(pad + tuple(x) + pad, window):
+        end = len(py) - (window - 1)
+        if py[: window - 1] == pad == py[end:]:
+            out.add(read_vector(py[window - 1 : end], window))
+    return out
 
 
 class TestRuns:
@@ -119,6 +133,11 @@ class TestRestrictedBall:
     def test_all_deletable(self):
         assert restricted_ball((0, 3, 0), 3) == {(3, 0), (0, 0), (0, 3)}
 
+    def test_window_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                restricted_ball((0, 1, 2), k)
+
     def test_subset_of_deletion_ball(self):
         for x in all_words(7):
             rv = read_vector(x, 2)
@@ -134,10 +153,24 @@ class TestStickyReadImages:
         assert sticky_read_images(x, 2) == restricted_ball(read_vector(x, 2), 2)
 
     def test_matches_restricted_ball_exhaustive(self):
-        for n in range(2, 9):
-            for w in (2, 3, 4):
+        for n in range(1, 9):
+            for w in (1, 2, 3, 4):
                 for x in all_words(n):
                     assert sticky_read_images(x, w) == restricted_ball(
                         read_vector(x, w), w
                     )
 
+    def test_matches_padded_definition_exhaustive(self):
+        for n in range(1, 11):
+            for w in range(1, 6):
+                for x in all_words(n):
+                    assert sticky_read_images(x, w) == padded_read_images(x, w), (x, w)
+
+    def test_empty_word_has_no_images(self):
+        for w in range(1, 5):
+            assert sticky_read_images((), w) == set()
+
+    def test_entries_must_be_bits(self):
+        for w in (1, 2):
+            with pytest.raises(ValueError, match=r"must be bits \(0 or 1\)"):
+                sticky_read_images((2,), w)

@@ -245,6 +245,24 @@ MUTANTS = [
         "if end - start > r:",
     ),
     (
+        "images drop the trailing zero run",
+        "src/nanoread/balls.py",
+        "        ys.add(x[:-1])\n",
+        "        pass\n",
+    ),
+    (
+        "images let a leading one qualify",
+        "src/nanoread/balls.py",
+        'if x[:1] == b"\\x00":',
+        'if x[:1] == b"\\x01":',
+    ),
+    (
+        "sticky code keeps words whose ball is empty",
+        "src/nanoread/oracle.py",
+        "words = [x for x in all_words(n) if sticky_ball(bytes(x), window)]",
+        "words = list(all_words(n))",
+    ),
+    (
         "fan-out chunks take their prefix bits reversed",
         "src/nanoread/oracle.py",
         "prefix = _nth_word(c, b)",
