@@ -157,8 +157,9 @@ def _tail_count(hist: list[int], n: int, a: int) -> int:
 
 
 def _tail_len(n: int, a: int) -> int:
-    """The least r >= 0 at or above the cutoff (n - 2a + 4) / 2^(a+1)."""
-    return max(0, -((2 * a - 4 - n) // 2 ** (a + 1)))
+    """The least r >= 0 at or above the cutoff (n - 2a + 4) / 2^(a+1);
+    0 where the cutoff is not above 0, with no 2^(a+1) formed."""
+    return 0 if 2 * a - 4 >= n else -((2 * a - 4 - n) // 2 ** (a + 1))
 
 
 def expected_runs(n: int, a: int) -> Fraction:

@@ -1,11 +1,11 @@
 """Single-deletion read code: checksum membership, encoding, decoding.
 
 Codewords are binary words whose read-vector mod-2 prefix satisfies a
-weighted checksum fixed modulo n+1.  Decoding recovers that prefix and
-inverts it, for a read of either length: a full-length read holds all
-n parities; a deletion deletes one of them or cuts off the last, so VT
-insertion on the first n - 1 recovers the codeword.  A gap of 2
-between adjacent entries only names the path.
+weighted checksum fixed modulo n+1.  A full-length read is decoded by
+the divmod test of validity and reconstruction and its parities'
+checksum; a deletion deletes one of the first n parities or cuts off
+the last, so VT insertion on the first n - 1 recovers the prefix, which
+xor-doubling inverts.  A gap of 2 between entries only names the path.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .core import (
     _ones,
     _parities,
     _read_bytes,
+    _word_bytes,
     _xor_doubling,
     all_words,
 )
@@ -209,16 +210,15 @@ def _vt_insert(received: bytes, residue: int, n: int) -> bytes:
 def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     """Recover the transmitted codeword from an intact or once-deleted read.
 
-    The read is packed once, one byte per entry, and its parities are
-    taken off those bytes: all n of a full-length read, or the first n-1
-    of a shortened one, which VT insertion completes against the
-    checksum.  The word x comes from the n parities by the xor-doubling
-    steps, its read vector R from one multiplication.  A full-length
-    read must equal R, and its parities' checksum the residue.  A
-    shortened read must be R less one entry: with i the first byte where
-    the packed read and R differ (the read's length when none does), the
-    read's bytes from i on equal R's from i + 1 on, one shift
-    comparison.  The deleted entry then lies in R's run that ends at i;
+    The read is packed once, one byte per entry.  A full-length read
+    must pass the divmod test of ``_word_bytes``, which gives its word,
+    and its n parities' checksum must be the residue.  A shortened
+    read's first n - 1 parities are completed by VT insertion, the word
+    x comes from them by the xor-doubling steps, and its read vector R
+    from one multiplication.  The read must be R less one entry: with i
+    the first byte where the packed read and R differ (the read's
+    length when none does), the read's bytes from i on equal R's from
+    i + 1 on.  The deleted entry then lies in R's run that ends at i;
     the path is "immediate" when its deletion left a gap of 2 there,
     else "vt".  An entry that does not pack (not an int in [0, 256)) is
     no read vector, nor a deletion of one.  When no codeword explains
@@ -236,29 +236,25 @@ def decode(candidate: Sequence[int], params: CodeParams) -> DecodeOutcome:
     try:
         raw = bytes(candidate)
     except (TypeError, ValueError):
-        pass  # an entry no byte holds: no read vector, nor a deletion of one
-    else:
-        p = _parities(raw, m - window + 1)  # n, or n - 1 when shortened
-        if m < full:
-            p = _vt_insert(p, params.residue, n)
+        raw = None  # an entry no byte holds: no read vector, nor a deletion of one
+    if m == full:
+        word = None if raw is None else _word_bytes(raw, ones, n)
+        if word is None:
+            raise DecodeFailure("full-length input is not a legitimate read vector")
+        if _checksum(_parities(raw, n), n) != params.residue:
+            raise DecodeFailure("the read vector's word is not a codeword")
+        return DecodeOutcome(word=tuple(word), path="no-deletion")
+    if raw is not None:
+        p = _vt_insert(_parities(raw, n - 1), params.residue, n)
         x = _xor_doubling(int.from_bytes(p, "little"), n, window)
         bits = x.to_bytes(n, "little")
         rv = x * ones
-        if m < full:
-            read = int.from_bytes(raw, "little")
-            diff = read ^ rv
-            i = ((diff & -diff).bit_length() - 1) // 8 if diff else m
-            if read >> 8 * i == rv >> 8 * (i + 1):
-                # a gap of 2 can only be at i, between the deleted entry's neighbours
-                gap = 0 < i < m and abs(candidate[i] - candidate[i - 1]) == 2
-                return DecodeOutcome(
-                    word=tuple(bits), path="immediate" if gap else "vt"
-                )
-        elif raw == rv.to_bytes(len(raw), "little"):
-            if _checksum(p, n) != params.residue:
-                raise DecodeFailure("the read vector's word is not a codeword")
-            return DecodeOutcome(word=tuple(bits), path="no-deletion")
-    if m == full:
-        raise DecodeFailure("full-length input is not a legitimate read vector")
+        read = int.from_bytes(raw, "little")
+        diff = read ^ rv
+        i = ((diff & -diff).bit_length() - 1) // 8 if diff else m
+        if read >> 8 * i == rv >> 8 * (i + 1):
+            # a gap of 2 can only be at i, between the deleted entry's neighbours
+            gap = 0 < i < m and abs(candidate[i] - candidate[i - 1]) == 2
+            return DecodeOutcome(word=tuple(bits), path="immediate" if gap else "vt")
     immediate_correct(candidate)  # raises for a gap no deletion leaves
     raise DecodeFailure("recovered word is inconsistent with the received read")

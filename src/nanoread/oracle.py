@@ -656,16 +656,19 @@ def verify_expected_runs(n: int, a: int) -> CheckResult:
 
 
 def verify_tail_bound(n: int, a: int) -> CheckResult:
-    """``bounds.tail_count(n, a)`` is at most 2^n exp(-n / 2^(2a+1)): one
-    count against one float bound, with 1e-9 slack for rounding.
-
-    Needs 1 <= a <= n, where the expectation behind the bound holds.
-    """
+    """``bounds.tail_count(n, a)`` is at most 2^n exp(-n / 2^(2a+1)), for
+    1 <= a <= n, where the expectation behind it holds: one count against
+    one float bound with 1e-9 slack for rounding, or past the float range
+    count / 2^n against the exp, with the bound None."""
     if a > n:
         raise ValueError("the tail bound needs a <= n")
     count = bounds.tail_count(n, a)
-    bound = (1 << n) * math.exp(-n / 2 ** (2 * a + 1))
-    ok = count <= bound + 1e-9
+    decay = math.exp(-n / 2 ** (2 * a + 1))
+    try:
+        bound = math.ldexp(decay, n)
+        ok = count <= bound + 1e-9
+    except OverflowError:
+        bound, ok = None, count / (1 << n) <= decay
     return CheckResult(
         ok=ok,
         checked=1,

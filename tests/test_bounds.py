@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,17 @@ class TestBoundTable:
         ns, windows = [5, 60], [2, 10**6]
         rows = list(bound_table(ns, windows))
         assert rows == [bound_report(n, w) for n in ns for w in windows]
+
+    def test_window_far_past_n_forms_no_power(self):
+        # the tail length is 0 once 2l - 4 >= n, with no 2^(l+1) formed:
+        # that int alone is 1.25 MB at l = 10^7
+        tracemalloc.start()
+        try:
+            bound_report(5, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_empty_ranges(self):
         assert list(bound_table([], [2])) == []

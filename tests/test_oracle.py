@@ -391,6 +391,13 @@ class TestClaimChecks:
         with pytest.raises(ValueError):
             oracle.verify_tail_bound(3, 4)
 
+    def test_tail_bound_beyond_float_range(self):
+        # count / 2^n is 6.7e-65 at a = 1, 2 and 1.1e-22 at a = 3; the
+        # bound 2^n e^(-n / 2^(2a+1)) is a float at a = 1 only
+        results = [oracle.verify_tail_bound(1100, a) for a in (1, 2, 3)]
+        assert all(res.ok for res in results)
+        assert [res.detail["bound"] is None for res in results] == [False, True, True]
+
     def test_expected_runs_fault(self, monkeypatch):
         monkeypatch.setattr(oracle.bounds, "expected_runs", lambda n, a: Fraction(1))
         res = oracle.verify_expected_runs(4, 1)

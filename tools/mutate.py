@@ -5,17 +5,22 @@
 
 The oracles double as the test suite, so a check that cannot fail is a
 hole in the suite.  Each mutant is a (name, file, old text, new text)
-entry: the old text must occur exactly once in the file, and is
-replaced by the new text in a temporary copy of the files the suite
-reads (``COPIED``), where ``pytest -q -x tests`` runs with that copy's
-``src/`` on the path.  A mutant is killed when the run fails (or times
-out).  The unmutated copy runs first and must pass, so that no mutant
-is killed by a broken copy.  The script exits 1 when that run fails, a
-mutant survives or an old text no longer occurs exactly once, so a
-refactor must update the list rather than drop a mutant without
-notice; ``tests/test_mutants.py`` checks the old texts in the tier-1
-run too.  The mutants themselves are not part of that run: a killed
-mutant takes seconds, a survivor one full run of the suite.
+entry: the old text must occur exactly once in the file, and is replaced
+by the new text in a temporary copy of the files the suite reads
+(``COPIED``), where ``pytest -q -x tests`` runs with that copy's
+``src/`` on the path, after ``pytest --collect-only``, since under -x a
+collection error exits 1 as a failed test does.  A mutant is killed when
+a test fails (pytest exits 1) or the run times out.  Any other failing
+exit (a collection error or interrupt, an internal error, a usage error,
+no tests) decides nothing: the mutant reads ``BROKEN``.  The unmutated
+copy runs first and must pass, so that no mutant is killed by a broken
+copy.  The script exits 1 when that run fails, a mutant survives or is
+broken, or an old text no longer occurs exactly once, so a refactor must
+update the list rather than drop a mutant without notice;
+``tests/test_mutants.py`` checks in the tier-1 run too that every old
+text occurs once and that every mutated file compiles.  The mutants
+themselves are not part of that run: a killed mutant takes seconds, a
+survivor one full run of the suite.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
+# pytest's exit code (None: the run timed out) -> a mutant's status;
+# 2-5 (interrupted, internal error, usage error, no tests) decide nothing
+_STATUS = {0: "SURVIVED", 1: "killed", None: "killed"}
 
 MUTANTS = [
     (
@@ -67,14 +75,20 @@ MUTANTS = [
     (
         "codeword test skips the syndrome",
         "src/nanoread/code.py",
-        "if _checksum(p, n) != params.residue:",
+        "if _checksum(_parities(raw, n), n) != params.residue:",
         "if False:",
     ),
     (
         "full-length read skips its comparison",
+        "src/nanoread/core.py",
+        "    if r:\n        return None\n",
+        "    if False:\n        return None\n",
+    ),
+    (
+        "full-length read skips the divmod test",
         "src/nanoread/code.py",
-        'elif raw == rv.to_bytes(len(raw), "little"):',
-        "elif True:",
+        "        if word is None:\n",
+        "        if False:\n",
     ),
     (
         "decode names every path vt",
@@ -109,8 +123,8 @@ MUTANTS = [
     (
         "tail length floors instead of ceiling",
         "src/nanoread/bounds.py",
-        "max(0, -((2 * a - 4 - n) // 2 ** (a + 1)))",
-        "max(0, (n - 2 * a + 4) // 2 ** (a + 1))",
+        "-((2 * a - 4 - n) // 2 ** (a + 1))",
+        "(n - 2 * a + 4) // 2 ** (a + 1)",
     ),
     (
         "redundancy bound's tail term decays from n",
@@ -300,9 +314,9 @@ def _stale(mutants) -> list[str]:
     return out
 
 
-def _passes(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
+def _run(mutant: tuple[str, str, str] | None) -> tuple[int | None, str]:
     """Run the suite on a copy with the (file, old, new) mutant applied,
-    or none; (passed, the run's last line)."""
+    or none; (pytest's exit code, None on a timeout; the run's last line)."""
     with tempfile.TemporaryDirectory(prefix="nanoread-mutant-") as tmp:
         copy = pathlib.Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
@@ -316,15 +330,20 @@ def _passes(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
             target = copy / path
             target.write_text(target.read_text().replace(old, new, 1))
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
-        try:
-            run = subprocess.run(
-                cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
-            )
-        except subprocess.TimeoutExpired:
-            return False, f"timed out after {TIMEOUT_S} s"
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"]
+        # collection first: under -x a collection error exits 1, as a failed test does
+        for flag in ("--collect-only", "-x"):
+            try:
+                run = subprocess.run(
+                    cmd + [flag], cwd=copy, env=env, capture_output=True, text=True,
+                    timeout=TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired:
+                return None, f"timed out after {TIMEOUT_S} s"
+            if run.returncode:
+                break
     summary = (run.stdout.strip().splitlines() or ["no output"])[-1]
-    return run.returncode == 0, summary
+    return run.returncode, summary
 
 
 def main(argv=None) -> int:
@@ -340,19 +359,19 @@ def main(argv=None) -> int:
         print(f"STALE    {line}")
     if stale:
         return 1
-    passed, how = _passes(None)
-    if not passed:
+    code, how = _run(None)
+    if code != 0:
         print(f"BROKEN   the unmutated copy fails: {how}")
         return 1
-    survivors = 0
+    killed = 0
     for name, path, old, new in mutants:
         start = time.perf_counter()
-        survived, how = _passes((path, old, new))
-        survivors += survived
-        status = "SURVIVED" if survived else "killed  "
-        print(f"{status} {time.perf_counter() - start:6.1f} s  {name}: {how}", flush=True)
-    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
-    return 1 if survivors else 0
+        code, how = _run((path, old, new))
+        status = _STATUS.get(code, "BROKEN")
+        killed += status == "killed"
+        print(f"{status:8} {time.perf_counter() - start:6.1f} s  {name}: {how}", flush=True)
+    print(f"{killed} of {len(mutants)} mutants killed")
+    return 0 if killed == len(mutants) else 1
 
 
 if __name__ == "__main__":
